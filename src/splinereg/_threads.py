@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import os
+import sys
+from pathlib import Path
+
+import numpy as np
 
 try:
     from threadpoolctl import threadpool_limits
@@ -12,20 +18,70 @@ except ImportError:  # pragma: no cover - threadpoolctl is a declared dependency
 
 THREADS_ENV_VAR = "SPLINEREG_THREADS"
 
+# (get, set) thread-count symbols of the OpenBLAS in numpy's wheels: numpy 2
+# ships scipy-openblas, numpy 1.x its own 64-bit-integer build.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_thread_controls():
+    """(get, set) ctypes functions of the OpenBLAS bundled with numpy's wheel,
+    or None when no such library or symbol is found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            getter = getattr(lib, get_name, None)
+            setter = getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+@functools.lru_cache(maxsize=1)
+def _warn_unpinned():
+    print(
+        "splinereg: warning: cannot limit BLAS threads (no threadpoolctl and no "
+        "OpenBLAS thread control in numpy.libs); BLAS may run its own workers",
+        file=sys.stderr,
+    )
+
 
 @contextlib.contextmanager
 def single_threaded_blas():
     """Limit BLAS/OpenMP pools to one thread for the duration of the block.
 
-    Library-level parallelism is managed explicitly (tile chunks, image slabs);
+    Library-level parallelism is managed explicitly (coefficient components);
     letting BLAS spawn its own workers underneath would both oversubscribe the
-    machine and make single-thread baselines meaningless.
+    machine and make single-thread baselines meaningless. Uses threadpoolctl
+    when installed, else numpy's bundled OpenBLAS through ctypes, restoring
+    the previous count on exit; with neither it warns once on stderr. The
+    count is process-wide, so enter the block from one thread at a time.
     """
-    if threadpool_limits is None:
+    if threadpool_limits is not None:
+        with threadpool_limits(limits=1):
+            yield
+        return
+    controls = _openblas_thread_controls()
+    if controls is None:
+        _warn_unpinned()
         yield
         return
-    with threadpool_limits(limits=1):
+    get_threads, set_threads = controls
+    previous = get_threads()
+    set_threads(1)
+    try:
         yield
+    finally:
+        set_threads(previous)
 
 
 def physical_core_count() -> int:

@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bspline_core as core
-from .regularizers_analytic import (
-    RegularizerWeights,
-    build_vbank,
-    weighted_value_and_gradient,
-)
+from .regularizers_analytic import RegularizerWeights, build_vbank, penalty
 from .volume_io import Volume, box_downsample, covering_geometry, trilinear_sample
 
 
@@ -264,8 +260,8 @@ def optimize(fixed: Volume, moving: Volume, config: RegistrationConfig) -> tuple
         def cost(x, geometry=geometry, bank=bank, vol_f=vol_f, vol_m=vol_m, shape=shape):
             g = core.ControlPointGrid(geometry, x.reshape(shape))
             mse_val, mse_grad = mse_cost_grad(vol_f, vol_m, g)
-            pen_val, pen_grad = weighted_value_and_gradient(g, config.weights, bank)
-            return mse_val + pen_val, (mse_grad + pen_grad).ravel()
+            pen = penalty(g, config.weights, bank)
+            return mse_val + pen.value, (mse_grad + pen.gradient).ravel()
 
         x, costs, reason = _lbfgs(
             cost, stage_grid.coefficients.ravel(), stage.max_iterations, config.optimizer

@@ -5,10 +5,15 @@ within one tile such an integral collapses to a quadratic form p_i' V p_j on
 the 64 supporting coefficients. The 64x64 operators V factor per axis:
 V = Psi_1 (x) Psi_2 (x) Psi_3, where each Psi is a 4x4 matrix of exact
 monomial integrals of basis-derivative products over the tile width. The
-operators depend only on tile spacing and derivative orders, so a bank of 23
-matrices built once serves the whole optimization.
+bank of 23 such matrices is the paper-facing form.
 
-Five penalties are assembled from the bank:
+Evaluation sums the same algebra over the lattice: the tiles form a Cartesian
+product, so sum_t p_t' (Psi_1 (x) Psi_2 (x) Psi_3) q_t = p' (K_1 (x) K_2 (x)
+K_3) q, where each K_d is an (N_d+3)^2 seven-diagonal matrix assembled from
+the Psi of its axis (sum factorization). Three batched stages of mode
+products then give every term at once, with no per-tile gather or scatter.
+
+Five penalties are assembled:
 
   S1 diffusion           sum of squared first derivatives (9 terms)
   S2 curvature           sum of squared second derivatives, mixed ones twice
@@ -285,53 +290,75 @@ def _term_table() -> tuple:
     return tuple(terms)
 
 
-def _evaluate_tiles(
-    flat_coeffs: list,
-    gmap: np.ndarray,
-    bank: VMatrixBank,
-    weights_arr: np.ndarray,
-    with_gradient: bool,
-    active_only: bool,
-) -> tuple:
-    """Penalty contributions of one contiguous block of tiles.
+# The 20 multi-indices with |delta| <= 3; those sharing axis-2/3 orders are
+# adjacent, so the lattice kernel's axis-1 stage writes each group at once.
+_DELTAS = tuple((o1, o2, o3) for o3 in range(4) for o2 in range(4 - o3) for o1 in range(4 - o2 - o3))
 
-    Returns (terms5, grad_flat or None) where grad_flat is (3, lattice_size).
-    Gradient contributions are accumulated densely per tile block and scattered
-    with a single bincount per component, keeping the hot path inside numpy.
+
+@lru_cache(maxsize=32)
+def _axis_operators(spacing: float, count: int) -> np.ndarray:
+    """(5, count+3, count+3) lattice operators of one axis: K^(o,o) for
+    o = 0..3, then K^(1,0); K^(a,b)[i, j] sums Psi^(a,b)[i - t, j - t] over
+    tiles t. K^(o,o) is symmetrized: the gradient of <p, K p> is exactly 2 K p.
     """
-    gathered = [flat[gmap] for flat in flat_coeffs]  # three (T, 64)
-    lattice_size = flat_coeffs[0].shape[0]
-    terms5 = np.zeros(5)
-    grad_acc = [None, None, None] if with_gradient else None
+    ops = np.zeros((5, count + 3, count + 3))
+    tiles = np.arange(count)
+    for k, (a, b) in enumerate(((0, 0), (1, 1), (2, 2), (3, 3), (1, 0))):
+        psi = build_psi(spacing, a, b)
+        if a == b:
+            psi = 0.5 * (psi + psi.T)
+        for i in range(4):
+            for j in range(4):
+                ops[k, tiles + i, tiles + j] += psi[i, j]
+    ops.setflags(write=False)
+    return ops
 
+
+def _mode_products(vol: np.ndarray, k1, k2, k3) -> np.ndarray:
+    """(K1 (x) K2 (x) K3) applied to one (P1, P2, P3) lattice volume."""
+    p1, p2, p3 = vol.shape
+    out = k2 @ (vol.reshape(p1 * p2, p3) @ k3.T).reshape(p1, p2, p3)
+    return (k1 @ out.reshape(p1, p2 * p3)).reshape(p1, p2, p3)
+
+
+@lru_cache(maxsize=1)
+def _lattice_tables() -> tuple:
+    """(20, 5) multiplicities in S1..S5 of the same-component squares
+    <P_c, X_delta>, in `_DELTAS` order, and the distinct cross terms."""
+    index = {d: k for k, d in enumerate(_DELTAS)}
+    mults = np.zeros((len(_DELTAS), 5))
     for term in _term_table():
-        weight = float(weights_arr @ np.asarray(term.mults))
-        if active_only and weight == 0.0:
-            continue
-        v = bank.get(term.pair)
-        gi, gj = gathered[term.comp_i], gathered[term.comp_j]
-        m = gi @ v
-        s = float(np.sum(m * gj))
-        terms5 += np.asarray(term.mults) * s
-        if with_gradient and weight != 0.0:
-            if grad_acc[term.comp_j] is None:
-                grad_acc[term.comp_j] = np.zeros_like(m)
-            if term.symmetric:
-                grad_acc[term.comp_j] += (2.0 * weight) * m
-            else:
-                grad_acc[term.comp_j] += weight * m
-                if grad_acc[term.comp_i] is None:
-                    grad_acc[term.comp_i] = np.zeros_like(m)
-                grad_acc[term.comp_i] += weight * (gj @ v.T)
+        if term.symmetric:
+            mults[index[term.pair.delta_i]] = term.mults  # equal for every component
+    mults.setflags(write=False)
+    return mults, tuple(t for t in _term_table() if not t.symmetric)
 
-    grad = None
-    if with_gradient:
-        grad = np.zeros((3, lattice_size))
-        flat_idx = gmap.ravel()
-        for c in range(3):
-            if grad_acc[c] is not None:
-                grad[c] = np.bincount(flat_idx, weights=grad_acc[c].ravel(), minlength=lattice_size)
-    return terms5, grad
+
+def _component_share(p: np.ndarray, axis_ops, delta_weights, with_gradient: bool) -> tuple:
+    """The same-component squares of one coefficient lattice P.
+
+    X_delta = (K1^(d1,d1) (x) K2^(d2,d2) (x) K3^(d3,d3)) P for all 20 delta,
+    from batched mode products along axis 3 (4 orders), axis 2 (10 order
+    pairs) and axis 1 (20 multi-indices). Returns the 20 products
+    <P, X_delta> and, if asked, the gradient sum 2 w_delta X_delta.
+    """
+    p1, p2, p3 = p.shape
+    k1, k2, k3 = axis_ops
+    y = np.matmul(p.reshape(p1 * p2, p3), k3[:4]).reshape(4, p1, p2, p3)
+    x = np.empty((len(_DELTAS), p1, p2 * p3))
+    k = 0
+    for o3 in range(4):
+        z = np.matmul(k2[: 4 - o3, None], y[o3])
+        for o2 in range(4 - o3):
+            n = 4 - o2 - o3
+            np.matmul(k1[:n], z[o2].reshape(p1, p2 * p3), out=x[k : k + n])
+            k += n
+    x = x.reshape(len(_DELTAS), -1)
+    gradient = ((2.0 * delta_weights) @ x).reshape(p.shape) if with_gradient else None
+    # numpy's pairwise summation keeps the rounding of each S local to where
+    # P changes, which central differences of the value rely on
+    x *= p.ravel()
+    return x.sum(axis=1), gradient
 
 
 def _check_bank(grid: core.ControlPointGrid, bank: VMatrixBank):
@@ -342,45 +369,6 @@ def _check_bank(grid: core.ControlPointGrid, bank: VMatrixBank):
         )
 
 
-def _assemble(
-    grid: core.ControlPointGrid,
-    weights: RegularizerWeights,
-    bank: VMatrixBank,
-    chunks: list,
-    with_gradient: bool,
-    thread_count: int,
-) -> PenaltyResult:
-    gmap = core.support_index_map(grid.geometry)
-    flat = [np.ascontiguousarray(grid.coefficients[c].ravel()) for c in range(3)]
-    warr = weights.as_array()
-
-    with single_threaded_blas():
-        if thread_count <= 1:
-            parts = [
-                _evaluate_tiles(flat, gmap[lo:hi], bank, warr, with_gradient, False)
-                for lo, hi in chunks
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=thread_count) as pool:
-                futures = [
-                    pool.submit(_evaluate_tiles, flat, gmap[lo:hi], bank, warr, with_gradient, False)
-                    for lo, hi in chunks
-                ]
-                parts = [f.result() for f in futures]
-
-    terms5 = np.zeros(5)
-    for t5, _ in parts:
-        terms5 += t5
-    value = float(warr @ terms5)
-    gradient = None
-    if with_gradient:
-        gradient = np.zeros((3,) + grid.geometry.lattice_shape)
-        gflat = gradient.reshape(3, -1)
-        for _, g in parts:
-            gflat += g
-    return PenaltyResult(value=value, terms=terms5, gradient=gradient)
-
-
 def penalty(
     grid: core.ControlPointGrid,
     weights: RegularizerWeights,
@@ -389,12 +377,10 @@ def penalty(
 ) -> PenaltyResult:
     """Weighted smoothness penalty and its gradient over the whole grid.
 
-    All five S values are always computed (the bank already holds every
-    operator); the gradient covers only terms with nonzero weight.
+    All five S values are always computed; the gradient covers only terms
+    with nonzero weight. The bank fixes the tile spacing the grid must have.
     """
-    _check_bank(grid, bank)
-    total = grid.geometry.tile_total
-    return _assemble(grid, weights, bank, [(0, total)], with_gradient, thread_count=1)
+    return _lattice_penalty(grid, weights, bank, with_gradient, thread_count=1)
 
 
 def penalty_parallel(
@@ -404,38 +390,52 @@ def penalty_parallel(
     thread_count: int,
     with_gradient: bool = True,
 ) -> PenaltyResult:
-    """Same contract as `penalty`, with tiles partitioned across worker threads.
-
-    Partial results merge in fixed chunk order, so the output is deterministic
-    for a given thread count, and thread_count=1 is bitwise identical to
-    `penalty`.
+    """Same contract as `penalty`, with the three coefficient components on up
+    to three worker threads. Shares and cross terms merge in fixed order, so
+    every thread count gives results bitwise identical to `penalty`.
     """
     if thread_count < 1:
         raise ValueError(f"thread_count must be >= 1, got {thread_count}")
-    _check_bank(grid, bank)
-    total = grid.geometry.tile_total
-    nchunks = min(thread_count, total)
-    bounds = np.linspace(0, total, nchunks + 1).astype(int)
-    chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(nchunks)]
-    return _assemble(grid, weights, bank, chunks, with_gradient, thread_count=thread_count)
+    return _lattice_penalty(grid, weights, bank, with_gradient, thread_count)
 
 
-def weighted_value_and_gradient(
-    grid: core.ControlPointGrid,
-    weights: RegularizerWeights,
-    bank: VMatrixBank,
-) -> tuple:
-    """Fast path for optimizers: weighted value and gradient from active terms only."""
+def _lattice_penalty(grid, weights, bank, with_gradient: bool, thread_count: int) -> PenaltyResult:
+    """The one kernel behind `penalty` and `penalty_parallel`."""
     _check_bank(grid, bank)
-    gmap = core.support_index_map(grid.geometry)
-    flat = [np.ascontiguousarray(grid.coefficients[c].ravel()) for c in range(3)]
+    geometry = grid.geometry
+    axis_ops = [_axis_operators(r, n) for r, n in zip(geometry.tile_spacing, geometry.tile_counts)]
+    mults, cross = _lattice_tables()
     warr = weights.as_array()
+    delta_weights = mults @ warr
+    coeffs = grid.coefficients
+
+    def share(c):
+        return _component_share(coeffs[c], axis_ops, delta_weights, with_gradient)
+
     with single_threaded_blas():
-        terms5, grad = _evaluate_tiles(flat, gmap, bank, warr, True, True)
-    gradient = (np.zeros((3, flat[0].size)) if grad is None else grad).reshape(
-        (3,) + grid.geometry.lattice_shape
-    )
-    return float(warr @ terms5), gradient
+        if thread_count == 1:
+            shares = [share(c) for c in range(3)]
+        else:
+            with ThreadPoolExecutor(max_workers=min(thread_count, 3)) as pool:
+                shares = list(pool.map(share, range(3)))
+
+        terms5 = np.zeros(5)
+        for products, _ in shares:
+            terms5 += products @ mults
+        gradient = np.stack([g for _, g in shares]) if with_gradient else None
+        # <P_i, M P_j> with M = K1 (x) K2 (x) K3 of orders (delta_i, delta_j);
+        # its gradient is M P_j for P_i and M' P_i for P_j.
+        for term in cross:
+            di, dj = term.pair.delta_i, term.pair.delta_j
+            ops = [o[a] if a == b else (o[4] if a > b else o[4].T) for o, a, b in zip(axis_ops, di, dj)]
+            p_i, p_j = coeffs[term.comp_i], coeffs[term.comp_j]
+            forward = _mode_products(p_j, *ops)
+            terms5 += np.asarray(term.mults) * float(np.sum(p_i * forward))
+            w = float(warr @ np.asarray(term.mults))
+            if with_gradient and w != 0.0:
+                gradient[term.comp_i] += w * forward
+                gradient[term.comp_j] += w * _mode_products(p_i, *(o.T for o in ops))
+    return PenaltyResult(value=float(warr @ terms5), terms=terms5, gradient=gradient)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ the basis), so only the midpoint integration is approximate and the error
 shrinks as O(h^2) toward the closed-form values.
 
 Both compute the same five penalty definitions as the analytic module, written
-here as the explicit ordered sums over components and derivative directions so
-the analytic multiplicity bookkeeping is checked rather than shared.
+here as the ordered sums over components and derivative directions so the
+analytic multiplicity bookkeeping is checked rather than shared: `fd_penalty`
+counts each distinct derivative's multiplicity from the ordered direction
+tuples instead of reading the analytic tables.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,28 +141,51 @@ def _central2(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
-def _fd_derivative(samples: np.ndarray, orders, steps) -> np.ndarray:
-    """Tensor-product central stencil for one derivative multi-index.
+def _fd_derivatives(samples: np.ndarray, deltas, steps):
+    """Yield (delta, volume) for every wanted derivative multi-index.
 
-    Third order along an axis nests a central first difference over the
-    standard second difference (half-width 2, error O(h^2)). Entries inside
-    the stencil margin of the block edge are garbage and must be excluded by
-    the caller; that margin is what skip-boundary drops.
+    Each derivative is the tensor-product central stencil applied along axes
+    0, 1, 2 in turn; third order along an axis nests a central first
+    difference over the standard second difference (half-width 2, error
+    O(h^2)). The walk is depth first over the axes, so a partial derivative
+    shared by several multi-indices is taken once and at most a few volumes
+    are alive at any time. Entries inside the stencil margin of the block edge
+    are garbage and must be excluded by the caller; that margin is what
+    skip-boundary drops.
     """
-    out = samples
-    for axis in range(3):
-        o = orders[axis]
-        if o == 0:
-            continue
-        if o == 1:
-            out = _central1(out, axis, steps[axis])
-        elif o == 2:
-            out = _central2(out, axis, steps[axis])
-        elif o == 3:
-            out = _central1(_central2(out, axis, steps[axis]), axis, steps[axis])
-        else:
-            raise ValueError(f"unsupported derivative order {o}")
-    return out
+
+    def walk(arr, axis, prefix):
+        if axis == 3:
+            yield prefix, arr
+            return
+        orders = sorted({d[axis] for d in deltas if d[:axis] == prefix})
+        second = None
+        for o in orders:
+            if o == 0:
+                out = arr
+            elif o == 1:
+                out = _central1(arr, axis, steps[axis])
+            elif o == 2:
+                out = second = _central2(arr, axis, steps[axis])
+            else:
+                if second is None:
+                    second = _central2(arr, axis, steps[axis])
+                out = _central1(second, axis, steps[axis])
+                second = None
+            yield from walk(out, axis + 1, prefix + (o,))
+            del out
+
+    yield from walk(samples, 0, ())
+
+
+def _ordered_multiplicities(order: int) -> dict:
+    """Distinct derivative multi-indices of total `order`, each with the number
+    of ordered direction tuples (j, k, ...) that produce it."""
+    counts: dict = {}
+    for dirs in itertools.product(range(3), repeat=order):
+        delta = tuple(dirs.count(a) for a in range(3))
+        counts[delta] = counts.get(delta, 0) + 1
+    return counts
 
 
 def _interior(shape, margin: int):
@@ -203,71 +229,41 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyValueBre
         field = np.pad(field, ((2, 2), (2, 2), (2, 2), (0, 0)), mode="edge")
 
     cell = float(np.prod(steps))
-    maps: dict = {}
-
-    def deriv(comp: int, orders) -> np.ndarray:
-        key = (comp, orders)
-        if key not in maps:
-            maps[key] = _fd_derivative(field[..., comp], orders, steps)
-        return maps[key]
 
     def region(margin: int):
         if clamp:
             return (slice(2, -2),) * 3  # padding absorbs the stencil margin
         return _interior(field.shape[:3], margin)
 
+    # The ordered sums over directions, with each distinct derivative taken
+    # once and weighted by how many ordered direction tuples produce it:
+    # S1 and S3 square first derivatives (j), S2 second (j, k), S4 third
+    # (j, k, q); S5 squares the field itself.
+    uses: dict = {}  # multi-index -> [(regularizer, multiplicity)]
+    for n, order in ((0, 1), (1, 2), (2, 1), (3, 3), (4, 0)):
+        if n in wanted:
+            for delta, mult in _ordered_multiplicities(order).items():
+                uses.setdefault(delta, []).append((n, mult))
+    regions = {n: region(_REG_MARGINS[n]) for n in wanted}
+
     out = np.zeros(5)
-
-    if 0 in wanted:
-        # S1: ordered sum over components i and directions j of (d nu_i / d x_j)^2
-        r1 = region(_REG_MARGINS[0])
-        for c in range(3):
-            for d in range(3):
-                orders = tuple(1 if a == d else 0 for a in range(3))
-                out[0] += np.sum(deriv(c, orders)[r1] ** 2)
-
-    if 1 in wanted:
-        # S2: ordered sum over (j, k); mixed partials appear twice
-        r2 = region(_REG_MARGINS[1])
-        for c in range(3):
-            for j in range(3):
-                for k in range(3):
-                    orders = tuple((1 if a == j else 0) + (1 if a == k else 0) for a in range(3))
-                    out[1] += np.sum(deriv(c, orders)[r2] ** 2)
+    diag = []  # d nu_c / d x_c, for the elastic cross products
+    for c in range(3):
+        first_c = tuple(1 if a == c else 0 for a in range(3))
+        for delta, d in _fd_derivatives(field[..., c], tuple(uses), steps):
+            for n, mult in uses[delta]:
+                out[n] += mult * np.sum(d[regions[n]] ** 2)
+            if 2 in wanted and delta == first_c:
+                diag.append(d)
+            del d
 
     if 2 in wanted:
-        # S3: the nine first-derivative squares plus the three divergence-style
-        # cross products of distinct diagonal first derivatives, each once
-        r3 = region(_REG_MARGINS[2])
-        s3 = 0.0
-        for c in range(3):
-            for d in range(3):
-                orders = tuple(1 if a == d else 0 for a in range(3))
-                s3 += np.sum(deriv(c, orders)[r3] ** 2)
-        diag = [deriv(c, tuple(1 if a == c else 0 for a in range(3))) for c in range(3)]
+        # S3 adds the three divergence-style cross products of distinct
+        # diagonal first derivatives, each once
+        r3 = regions[2]
         for a in range(3):
             for b in range(a + 1, 3):
-                s3 += np.sum((diag[a] * diag[b])[r3])
-        out[2] = s3
-
-    if 3 in wanted:
-        # S4: ordered sum over (j, k, q) of squared third derivatives
-        r4 = region(_REG_MARGINS[3])
-        for c in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for q in range(3):
-                        orders = tuple(
-                            (1 if a == j else 0) + (1 if a == k else 0) + (1 if a == q else 0)
-                            for a in range(3)
-                        )
-                        out[3] += np.sum(deriv(c, orders)[r4] ** 2)
-
-    if 4 in wanted:
-        # S5: squared magnitude at every sample
-        r5 = region(_REG_MARGINS[4])
-        for c in range(3):
-            out[4] += np.sum(field[..., c][r5] ** 2)
+                out[2] += np.sum((diag[a] * diag[b])[r3])
 
     out *= cell
     return PenaltyValueBreakdown(terms=out, value=float(weights.as_array() @ out))

@@ -177,7 +177,7 @@ def test_costs_monotone_during_registration():
 
 def test_total_cost_gradient_is_sum_of_parts():
     """FD of MSE + penalty matches the summed analytic gradients end to end."""
-    from splinereg.regularizers_analytic import build_vbank, weighted_value_and_gradient
+    from splinereg.regularizers_analytic import build_vbank, penalty
 
     moving = blob_volume(seed=15)
     fixed = blob_volume(seed=16)
@@ -188,8 +188,8 @@ def test_total_cost_gradient_is_sum_of_parts():
 
     def total(g):
         mse_val, mse_grad = reg.mse_cost_grad(fixed, moving, g)
-        pen_val, pen_grad = weighted_value_and_gradient(g, weights, bank)
-        return mse_val + pen_val, mse_grad + pen_grad
+        pen = penalty(g, weights, bank)
+        return mse_val + pen.value, mse_grad + pen.gradient
 
     value, gradient = total(grid)
     rng = np.random.default_rng(18)

@@ -243,9 +243,16 @@ def test_penalty_constant_field_total_displacement():
 
 def test_penalty_matches_gauss_oracle():
     """Gauss quadrature integrates the tile polynomials exactly, so the
-    closed-form values must agree to roundoff."""
-    for seed in (0, 1, 2):
-        grid = random_grid((4, 3, 5), (17.0, 9.0, 23.0), seed=seed, scale=4.0)
+    closed-form values must agree to roundoff. The single-tile axes are the
+    lattice operators' edge case: there K_d reduces to Psi itself."""
+    cases = [((4, 3, 5), (17.0, 9.0, 23.0), seed) for seed in (0, 1, 2)]
+    cases += [
+        ((1, 1, 1), (6.0, 11.0, 4.5), 3),
+        ((1, 3, 2), (12.0, 5.0, 19.0), 4),
+        ((5, 1, 2), (7.5, 21.0, 10.0), 5),
+    ]
+    for tiles, spacing, seed in cases:
+        grid = random_grid(tiles, spacing, seed=seed, scale=4.0)
         bank = ra.build_vbank(grid.geometry.tile_spacing)
         res = ra.penalty(grid, ra.RegularizerWeights(), bank, with_gradient=False)
         oracle = gauss_penalty_terms(grid)
@@ -392,9 +399,9 @@ def test_parallel_matches_serial_within_tolerance(threads):
     weights = ra.RegularizerWeights(0.2, 0.4, 0.1, 0.05, 0.8)
     serial = ra.penalty(grid, weights, bank)
     parallel = ra.penalty_parallel(grid, weights, bank, thread_count=threads)
-    assert parallel.value == pytest.approx(serial.value, rel=1e-12)
-    np.testing.assert_allclose(parallel.terms, serial.terms, rtol=1e-12)
-    np.testing.assert_allclose(parallel.gradient, serial.gradient, rtol=1e-9, atol=1e-12)
+    assert parallel.value == serial.value
+    np.testing.assert_array_equal(parallel.terms, serial.terms)
+    np.testing.assert_array_equal(parallel.gradient, serial.gradient)
 
 
 def test_parallel_is_deterministic_for_fixed_thread_count():

@@ -1,5 +1,7 @@
 """Sampled numeric penalties: the finite-difference baseline and the oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,66 @@ def test_fd_penalty_terms_subset():
     only2 = rn.fd_penalty(grid, NO_WEIGHTS, spec, terms=[1])
     assert only2.terms[1] == full.terms[1]
     assert only2.terms[0] == 0.0 and only2.terms[3] == 0.0
+
+
+def _ordered_sum_reference(grid, spec):
+    """S1..S4 as the explicit ordered sums over components and directions,
+    every ordered derivative taken from scratch with the same stencils."""
+    axes, steps = rn.sample_axes(grid.geometry, spec)
+    field = core.sample_displacement(grid, axes)
+
+    def deriv(samples, dirs):
+        out = samples
+        for axis in range(3):
+            o = dirs.count(axis)
+            if o == 1:
+                out = rn._central1(out, axis, steps[axis])
+            elif o == 2:
+                out = rn._central2(out, axis, steps[axis])
+            elif o == 3:
+                out = rn._central1(rn._central2(out, axis, steps[axis]), axis, steps[axis])
+        return out
+
+    inner1, inner2 = (slice(1, -1),) * 3, (slice(2, -2),) * 3
+    terms = np.zeros(4)
+    for c in range(3):
+        f = field[..., c]
+        for j in range(3):
+            terms[0] += np.sum(deriv(f, (j,))[inner1] ** 2)
+            for k in range(3):
+                terms[1] += np.sum(deriv(f, (j, k))[inner1] ** 2)
+                for q in range(3):
+                    terms[3] += np.sum(deriv(f, (j, k, q))[inner2] ** 2)
+    diag = [deriv(field[..., c], (c,)) for c in range(3)]
+    cross = sum(np.sum((diag[a] * diag[b])[inner1]) for a in range(3) for b in range(a + 1, 3))
+    terms[2] = terms[0] + cross
+    return terms * float(np.prod(steps))
+
+
+def test_fd_penalty_matches_explicit_ordered_sums():
+    """Folding each distinct derivative's ordered-sum multiplicity (S2 mixed
+    x2, S4 1/3/6) changes only the summation order."""
+    grid = random_grid((3, 2, 3), (12.0, 10.0, 9.0), seed=6)
+    spec = rn.SamplingSpec.voxel_grid((2.0, 2.5, 1.5))
+    got = rn.fd_penalty(grid, NO_WEIGHTS, spec).terms[:4]
+    np.testing.assert_allclose(got, _ordered_sum_reference(grid, spec), rtol=1e-12)
+
+
+def test_fd_penalty_third_order_memory_stays_bounded():
+    """The third-order sum at 64^3 samples holds the sampled field plus a few
+    derivative volumes at a time, not one volume per distinct derivative."""
+    geom = core.GridGeometry((4, 4, 4), (16.0, 16.0, 16.0))
+    grid = make_smooth_grid(geom, amplitude=3.0, smoothness=32.0, seed=7)
+    spec = rn.SamplingSpec.per_tile((16, 16, 16))
+    volume = 64 ** 3 * 8
+    field = 3 * volume
+    tracemalloc.start()
+    try:
+        rn.fd_penalty(grid, NO_WEIGHTS, spec, terms=[3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= field + 6 * volume, f"peak {peak / volume:.1f} volumes"
 
 
 # ---------------------------------------------------------------------------
