@@ -105,15 +105,14 @@ class GridGeometry:
         count = self.lattice_shape[axis]
         return self.origin[axis] + (np.arange(count) - 1.0) * self.tile_spacing[axis]
 
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        for d in range(3):
-            lo = self.origin[d]
-            hi = lo + self.extent[d]
-            slack = _EXTENT_SLACK * max(1.0, abs(lo), abs(hi))
-            if p[d] < lo - slack or p[d] > hi + slack:
-                return False
-        return True
+    def contains(self, points):
+        """Whether a point, or each point of a (..., 3) array, lies inside the
+        extent (within a small rounding slack)."""
+        p = np.asarray(points, dtype=float)
+        lo = np.array(self.origin)
+        hi = lo + np.array(self.extent)
+        slack = _EXTENT_SLACK * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        return np.all((p >= lo - slack) & (p <= hi + slack), axis=-1)
 
 
 class ControlPointGrid:
@@ -198,21 +197,24 @@ def build_q(spacing: float, order: int, axis: int = 1) -> QMatrix:
     return QMatrix(entries=entries, axis=axis, order=order)
 
 
-def _locate_axis(geometry: GridGeometry, axis: int, value: float) -> tuple:
+def _locate_axis(geometry: GridGeometry, axis: int, values) -> tuple:
+    """Tile indices and normalized offsets u in [0, 1] of coordinates along one
+    axis (arrays shaped like `values`)."""
     origin = geometry.origin[axis]
     spacing = geometry.tile_spacing[axis]
     count = geometry.tile_counts[axis]
-    s = (value - origin) / spacing
-    slack = _EXTENT_SLACK * max(1.0, abs(s))
-    if s < -slack or s > count + slack:
+    v = np.asarray(values, dtype=float)
+    s = (v - origin) / spacing
+    slack = _EXTENT_SLACK * np.maximum(1.0, np.abs(s))
+    outside = ~((s >= -slack) & (s <= count + slack))
+    if np.any(outside):
         raise ValueError(
-            f"point coordinate {value} outside grid extent "
+            f"point coordinate {v[outside].flat[0]} outside grid extent "
             f"[{origin}, {origin + count * spacing}] on axis {axis + 1}"
         )
-    s = min(max(s, 0.0), float(count))
-    tile = int(s)
-    if tile >= count:  # far face closes onto the last tile at u = 1
-        tile = count - 1
+    s = np.clip(s, 0.0, float(count))
+    # the far face closes onto the last tile at u = 1
+    tile = np.minimum(s.astype(np.int64), count - 1)
     return tile, s - tile
 
 
@@ -223,29 +225,38 @@ def locate(geometry: GridGeometry, point) -> LocalCoord:
         raise ValueError(f"point must be a 3-vector, got shape {p.shape}")
     located = [_locate_axis(geometry, d, p[d]) for d in range(3)]
     return LocalCoord(
-        tile_index=tuple(t for t, _ in located),
-        u=tuple(u for _, u in located),
+        tile_index=tuple(int(t) for t, _ in located),
+        u=tuple(float(u) for _, u in located),
     )
 
 
-def _point_weights(geometry: GridGeometry, coord: LocalCoord, orders) -> list:
-    """Per-axis 4-vectors of basis (derivative) values at a located point."""
-    weights = []
-    for d in range(3):
-        spacing = geometry.tile_spacing[d]
-        q = build_q(spacing, orders[d], axis=d + 1).entries
-        x = coord.u[d] * spacing
-        weights.append(q @ np.array([1.0, x, x * x, x ** 3]))
-    return weights
+def _axis_weights(geometry: GridGeometry, axis: int, u, order: int) -> np.ndarray:
+    """(..., 4) basis (derivative) values along one axis at normalized offsets u."""
+    spacing = geometry.tile_spacing[axis]
+    q = build_q(spacing, order, axis=axis + 1).entries
+    x = np.asarray(u, dtype=float) * spacing
+    return np.stack([np.ones_like(x), x, x ** 2, x ** 3], axis=-1) @ q.T
 
 
-def eval_displacement(grid: ControlPointGrid, point) -> np.ndarray:
-    """Displacement vector (mm) at a physical point inside the grid extent."""
-    coord = locate(grid.geometry, point)
-    w1, w2, w3 = _point_weights(grid.geometry, coord, (0, 0, 0))
-    t1, t2, t3 = coord.tile_index
-    block = grid.coefficients[:, t1 : t1 + 4, t2 : t2 + 4, t3 : t3 + 4]
-    return np.einsum("l,m,n,clmn->c", w1, w2, w3, block)
+def eval_displacement(grid: ControlPointGrid, points) -> np.ndarray:
+    """Displacement vectors (mm) at physical points inside the grid extent.
+
+    `points` is a 3-vector or a (..., 3) array; the result has its shape.
+    """
+    geometry = grid.geometry
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1:] != (3,):
+        raise ValueError(f"points must have a last axis of 3, got shape {pts.shape}")
+    located = [_locate_axis(geometry, d, pts[..., d]) for d in range(3)]
+    w1, w2, w3 = (_axis_weights(geometry, d, u, 0) for d, (_, u) in enumerate(located))
+    (t1, _), (t2, _), (t3, _) = located
+    _, p2, p3 = geometry.lattice_shape
+    four = np.arange(4)
+    support = (four[:, None, None] * p2 + four[None, :, None]) * p3 + four  # (4, 4, 4)
+    first = (t1 * p2 + t2) * p3 + t3
+    block = grid.coefficients.reshape(3, -1)[:, first[..., None, None, None] + support]
+    weights = w1[..., :, None, None] * w2[..., None, :, None] * w3[..., None, None, :]
+    return np.einsum("...lmn,c...lmn->...c", weights, block)
 
 
 def _check_multi_index(orders) -> tuple:
@@ -267,7 +278,7 @@ def eval_partial(grid: ControlPointGrid, point, component: int, orders) -> float
         raise ValueError(f"component must be 1, 2 or 3, got {component}")
     idx = _check_multi_index(orders)
     coord = locate(grid.geometry, point)
-    w1, w2, w3 = _point_weights(grid.geometry, coord, idx)
+    w1, w2, w3 = (_axis_weights(grid.geometry, d, coord.u[d], idx[d]) for d in range(3))
     t1, t2, t3 = coord.tile_index
     block = grid.coefficients[component - 1, t1 : t1 + 4, t2 : t2 + 4, t3 : t3 + 4]
     return float(np.einsum("l,m,n,lmn->", w1, w2, w3, block))
@@ -323,14 +334,8 @@ def axis_weight_matrix(geometry: GridGeometry, axis: int, coords, order: int = 0
     per-axis matrices against the lattice evaluates the field (or a physical
     derivative) on an axis-aligned sample grid.
     """
-    coords = np.asarray(coords, dtype=float)
-    spacing = geometry.tile_spacing[axis]
-    q = build_q(spacing, order, axis=axis + 1).entries
-    located = [_locate_axis(geometry, axis, c) for c in coords]
-    tiles = np.array([t for t, _ in located])
-    xl = np.array([u for _, u in located]) * spacing
-    xv = np.stack([np.ones_like(xl), xl, xl ** 2, xl ** 3], axis=1)
-    local = xv @ q.T  # (S, 4)
+    tiles, u = _locate_axis(geometry, axis, coords)
+    local = _axis_weights(geometry, axis, u, order)  # (S, 4)
     out = np.zeros((len(coords), geometry.lattice_shape[axis]))
     rows = np.arange(len(coords))
     for piece in range(4):

@@ -56,7 +56,7 @@ def write_landmarks(landmarks: LandmarkSet, path):
 
 def extent_mask(geometry: core.GridGeometry, landmarks: LandmarkSet) -> np.ndarray:
     """Boolean mask of landmarks inside the grid extent."""
-    return np.array([geometry.contains(p) for p in landmarks.points], dtype=bool)
+    return geometry.contains(landmarks.points)
 
 
 def warp_landmarks(grid: core.ControlPointGrid, landmarks: LandmarkSet) -> LandmarkSet:
@@ -71,9 +71,9 @@ def warp_landmarks(grid: core.ControlPointGrid, landmarks: LandmarkSet) -> Landm
         raise ValueError(
             f"{bad.size} landmark(s) outside the grid extent at indices {bad.tolist()[:20]}"
         )
-    warped = np.array([p + core.eval_displacement(grid, p) for p in landmarks.points])
+    warped = landmarks.points + core.eval_displacement(grid, landmarks.points)
     label = f"{landmarks.label}+warped" if landmarks.label else "warped"
-    return LandmarkSet(points=warped.reshape(-1, 3), label=label)
+    return LandmarkSet(points=warped, label=label)
 
 
 def mls(a: LandmarkSet, b: LandmarkSet) -> float:

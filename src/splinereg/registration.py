@@ -2,8 +2,10 @@
 
 The driver minimizes C = sum (M(x + v(x)) - F(x))^2 + S(v) over the coefficient
 lattice using a limited-memory quasi-Newton loop (two-loop recursion) with
-Armijo backtracking. Stages run coarse to fine; each stage fits its grid to
-the previous stage's field by separable least squares before optimizing.
+Armijo backtracking. M is the trilinear interpolant of the moving image, and
+the image gradient is always the exact derivative of that interpolant. Stages
+run coarse to fine; each stage fits its grid to the previous stage's field by
+separable least squares before optimizing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ import numpy as np
 
 from . import bspline_core as core
 from .regularizers_analytic import RegularizerWeights, build_vbank, penalty
-from .volume_io import Volume, box_downsample, covering_geometry, trilinear_sample
+from .volume_io import (
+    Volume,
+    box_downsample,
+    covering_geometry,
+    trilinear_sample,
+    warped_voxel_centers,
+)
 
 
 @dataclass(frozen=True)
@@ -68,28 +76,19 @@ class StageHistory:
     stop_reason: str = ""
 
 
-def mse_cost_grad(
-    fixed: Volume,
-    moving: Volume,
-    grid: core.ControlPointGrid,
-    grad_mode: str = "exact",
-) -> tuple:
+def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) -> tuple:
     """Sum of squared intensity differences under the warp, and its gradient
     with respect to every coefficient.
 
-    Moving-image values come from trilinear interpolation. grad_mode picks the
-    image-gradient model: 'exact' differentiates the trilinear interpolant
-    itself (the finite-difference check of the cost closes to roundoff);
-    'central' interpolates precomputed central-difference gradient volumes,
-    which is smoother but no longer the exact derivative of the cost.
-    Out-of-bounds warped samples contribute nothing to value or gradient.
+    Moving-image values come from trilinear interpolation, and the image
+    gradient is the exact derivative of that interpolant, so the
+    finite-difference check of the cost closes to roundoff. Out-of-bounds
+    warped samples contribute nothing to value or gradient.
     """
     if not fixed.same_geometry(moving):
         raise ValueError("fixed and moving volumes must share dims, spacing and origin")
     if fixed.components != 1 or moving.components != 1:
         raise ValueError("registration expects scalar volumes")
-    if grad_mode not in ("exact", "central"):
-        raise ValueError(f"unknown grad_mode {grad_mode!r}")
 
     geometry = grid.geometry
     axes = [fixed.axis_coords(d) for d in range(3)]
@@ -98,24 +97,9 @@ def mse_cost_grad(
     if not (geometry.contains(near) and geometry.contains(far)):
         raise ValueError("grid extent does not cover the fixed image")
 
-    disp = core.sample_displacement(grid, axes)
-    pts = np.empty(fixed.dims + (3,))
-    pts[..., 0] = axes[0][:, None, None]
-    pts[..., 1] = axes[1][None, :, None]
-    pts[..., 2] = axes[2][None, None, :]
-    warped_pts = pts + disp
-
-    if grad_mode == "exact":
-        m_vals, m_grads, inside = trilinear_sample(moving, warped_pts, gradient=True)
-    else:
-        m_vals, inside = trilinear_sample(moving, warped_pts)
-        g_axes = np.gradient(moving.data, *moving.spacing)
-        m_grads = np.empty(fixed.dims + (3,))
-        for d in range(3):
-            gvol = Volume(data=g_axes[d], spacing=moving.spacing, origin=moving.origin)
-            m_grads[..., d], _ = trilinear_sample(gvol, warped_pts)
-        m_grads = np.where(inside[..., None], m_grads, 0.0)
-
+    m_vals, m_grads, inside = trilinear_sample(
+        moving, warped_voxel_centers(grid, fixed), gradient=True
+    )
     diff = np.where(inside, m_vals - fixed.data, 0.0)
     value = float(np.sum(diff * diff))
 

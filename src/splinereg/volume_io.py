@@ -186,35 +186,36 @@ def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False)
     base = np.clip(np.floor(idx).astype(np.int64), 0, np.maximum(dims - 2, 0))
     frac = np.clip(idx - base, 0.0, 1.0)
 
-    data = volume.data
-    corners = np.empty(pts.shape[:-1] + (2, 2, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                corners[..., a, b, c] = data[
-                    np.minimum(base[..., 0] + a, dims[0] - 1),
-                    np.minimum(base[..., 1] + b, dims[1] - 1),
-                    np.minimum(base[..., 2] + c, dims[2] - 1),
-                ]
+    # flat gather: `base` is clipped to dims - 2, so the upper corner is
+    # base + 1 on every axis except a one-voxel one, whose stride is 0
+    d1, d2, d3 = volume.dims
+    s1, s2, s3 = (d2 * d3 if d1 > 1 else 0), (d3 if d2 > 1 else 0), (1 if d3 > 1 else 0)
+    flat = volume.data.ravel()
+    i000 = (base[..., 0] * d2 + base[..., 1]) * d3 + base[..., 2]
+    v000, v001 = flat[i000], flat[i000 + s3]
+    v010, v011 = flat[i000 + s2], flat[i000 + s2 + s3]
+    i100 = i000 + s1
+    v100, v101 = flat[i100], flat[i100 + s3]
+    v110, v111 = flat[i100 + s2], flat[i100 + s2 + s3]
     f1, f2, f3 = frac[..., 0], frac[..., 1], frac[..., 2]
-    c00 = corners[..., 0, 0, 0] * (1 - f3) + corners[..., 0, 0, 1] * f3
-    c01 = corners[..., 0, 1, 0] * (1 - f3) + corners[..., 0, 1, 1] * f3
-    c10 = corners[..., 1, 0, 0] * (1 - f3) + corners[..., 1, 0, 1] * f3
-    c11 = corners[..., 1, 1, 0] * (1 - f3) + corners[..., 1, 1, 1] * f3
-    c0 = c00 * (1 - f2) + c01 * f2
-    c1 = c10 * (1 - f2) + c11 * f2
-    values = np.where(inside, c0 * (1 - f1) + c1 * f1, 0.0)
+    e1, e2, e3 = 1 - f1, 1 - f2, 1 - f3
+    c00 = v000 * e3 + v001 * f3
+    c01 = v010 * e3 + v011 * f3
+    c10 = v100 * e3 + v101 * f3
+    c11 = v110 * e3 + v111 * f3
+    c0 = c00 * e2 + c01 * f2
+    c1 = c10 * e2 + c11 * f2
+    values = np.where(inside, c0 * e1 + c1 * f1, 0.0)
     if not gradient:
         return values, inside
 
-    d3 = corners[..., :, :, 1] - corners[..., :, :, 0]  # (..., 2, 2)
     g3 = (
-        d3[..., 0, 0] * (1 - f1) * (1 - f2)
-        + d3[..., 0, 1] * (1 - f1) * f2
-        + d3[..., 1, 0] * f1 * (1 - f2)
-        + d3[..., 1, 1] * f1 * f2
+        (v001 - v000) * e1 * e2
+        + (v011 - v010) * e1 * f2
+        + (v101 - v100) * f1 * e2
+        + (v111 - v110) * f1 * f2
     )
-    g2 = (c01 - c00) * (1 - f1) + (c11 - c10) * f1
+    g2 = (c01 - c00) * e1 + (c11 - c10) * f1
     g1 = c1 - c0
     grads = np.stack(
         [
@@ -228,15 +229,19 @@ def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False)
     return values, grads, inside
 
 
+def warped_voxel_centers(grid: core.ControlPointGrid, like: Volume) -> np.ndarray:
+    """Positions x + v(x) of every voxel center x of `like`, shape like.dims + (3,)."""
+    axes = [like.axis_coords(d) for d in range(3)]
+    pts = core.sample_displacement(grid, axes)
+    pts[..., 0] += axes[0][:, None, None]
+    pts[..., 1] += axes[1][None, :, None]
+    pts[..., 2] += axes[2][None, None, :]
+    return pts
+
+
 def warp_volume(moving: Volume, grid: core.ControlPointGrid, like: Volume) -> Volume:
     """Resample `moving` through the transform x -> x + v(x) onto `like`'s voxels."""
-    axes = [like.axis_coords(d) for d in range(3)]
-    disp = core.sample_displacement(grid, axes)
-    pts = np.empty(like.dims + (3,))
-    pts[..., 0] = axes[0][:, None, None]
-    pts[..., 1] = axes[1][None, :, None]
-    pts[..., 2] = axes[2][None, None, :]
-    values, _ = trilinear_sample(moving, pts + disp)
+    values, _ = trilinear_sample(moving, warped_voxel_centers(grid, like))
     return Volume(data=values, spacing=like.spacing, origin=like.origin)
 
 

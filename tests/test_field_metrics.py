@@ -115,10 +115,17 @@ def test_mls_length_mismatch():
 def test_warp_agrees_with_dense_field_at_landmarks():
     grid = random_grid((3, 3, 3), (10.0, 10.0, 10.0), seed=3)
     rng = np.random.default_rng(4)
-    pts = fm.LandmarkSet(points=rng.uniform(1, 29, size=(30, 3)))
+    interior = rng.uniform(1, 29, size=(30, 3))
+    # points on the far faces and corners close onto the last tile at u = 1
+    faces = interior[:6].copy()
+    faces[[0, 1], 0], faces[[2, 3], 1], faces[[4, 5], 2] = 30.0, 30.0, 30.0
+    corners = np.array([[a, b, c] for a in (0.0, 30.0) for b in (0.0, 30.0) for c in (0.0, 30.0)])
+    pts = fm.LandmarkSet(points=np.vstack([interior, faces, corners]))
     warped = fm.warp_landmarks(grid, pts)
     for p, w in zip(pts.points, warped.points):
         np.testing.assert_allclose(w, p + core.eval_displacement(grid, p), atol=1e-12)
+        dense = core.sample_displacement(grid, [p[:1], p[1:2], p[2:]])[0, 0, 0]
+        np.testing.assert_allclose(w, p + dense, atol=1e-12)
 
 
 def test_landmark_file_round_trip(tmp_path):

@@ -156,30 +156,42 @@ def test_ground_truth_amplitude_precondition():
 # ---------------------------------------------------------------------------
 
 def test_trilinear_reproduces_linear_functions():
-    vol = vio.make_phantom("gradient", (8, 8, 8), (2, 2, 2))
     rng = np.random.default_rng(4)
-    pts = rng.uniform(0.0, 14.0, size=(50, 3))
-    values, inside = vio.trilinear_sample(vol, pts)
-    assert np.all(inside)
-    np.testing.assert_allclose(values, pts[:, 0], atol=1e-12)
+    # (8, 1, 6) has a one-voxel axis, where the flat gather's stride is 0
+    for dims in ((8, 8, 8), (8, 1, 6)):
+        vol = vio.make_phantom("gradient", dims, (2, 2, 2))
+        vol.data += 0.25 * vol.axis_coords(2)
+        pts = rng.uniform(0.0, 2.0 * (np.array(dims) - 1), size=(50, 3))
+        values, inside = vio.trilinear_sample(vol, pts)
+        assert np.all(inside)
+        np.testing.assert_allclose(values, pts[:, 0] + 0.25 * pts[:, 2], atol=1e-12)
 
 
 def test_trilinear_gradient_matches_finite_differences():
-    vol = vio.make_phantom("blobs", (12, 12, 12), (2, 2, 2), seed=5)
     rng = np.random.default_rng(6)
-    pts = rng.uniform(1.0, 21.0, size=(30, 3))
-    _, grads, inside = vio.trilinear_sample(vol, pts, gradient=True)
-    assert np.all(inside)
-    h = 1e-6
-    for axis in range(3):
-        shifted_p = pts.copy()
-        shifted_p[:, axis] += h
-        shifted_m = pts.copy()
-        shifted_m[:, axis] -= h
-        vp, _ = vio.trilinear_sample(vol, shifted_p)
-        vm, _ = vio.trilinear_sample(vol, shifted_m)
-        fd = (vp - vm) / (2 * h)
-        np.testing.assert_allclose(grads[:, axis], fd, atol=1e-6)
+    # on the one-voxel axis of (8, 1, 6) the interpolant is constant and the
+    # points sit on the axis's only voxel, so the derivative there is 0
+    for dims in ((12, 12, 12), (8, 1, 6)):
+        vol = vio.make_phantom("blobs", dims, (2, 2, 2), seed=5)
+        single = np.array(dims) == 1
+        lo = np.where(single, 0.0, 1.0)
+        hi = np.where(single, 0.0, 2.0 * (np.array(dims) - 1) - 1.0)
+        pts = rng.uniform(lo, hi, size=(30, 3))
+        _, grads, inside = vio.trilinear_sample(vol, pts, gradient=True)
+        assert np.all(inside)
+        h = 1e-6
+        for axis in range(3):
+            if single[axis]:
+                np.testing.assert_array_equal(grads[:, axis], 0.0)
+                continue
+            shifted_p = pts.copy()
+            shifted_p[:, axis] += h
+            shifted_m = pts.copy()
+            shifted_m[:, axis] -= h
+            vp, _ = vio.trilinear_sample(vol, shifted_p)
+            vm, _ = vio.trilinear_sample(vol, shifted_m)
+            fd = (vp - vm) / (2 * h)
+            np.testing.assert_allclose(grads[:, axis], fd, atol=1e-6)
 
 
 def test_trilinear_outside_is_masked():
