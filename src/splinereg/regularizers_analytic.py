@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import io
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import bspline_core as core
-from ._threads import single_threaded_blas
+from ._threads import helper_pool, single_threaded_blas
 
 FIRST_DERIVS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 SECOND_DERIVS = (
@@ -401,13 +400,6 @@ def penalty_parallel(
     return _lattice_penalty(grid, weights, bank, with_gradient, thread_count)
 
 
-@lru_cache(maxsize=None)
-def _helper_pool(helpers: int) -> ThreadPoolExecutor:
-    """One long-lived pool per helper count: a pool made per call would start
-    its threads, and fault in their stacks and allocator arenas, every time."""
-    return ThreadPoolExecutor(max_workers=helpers, thread_name_prefix="splinereg")
-
-
 def _run_tasks(tasks, thread_count: int) -> list:
     """Results of `fn(arg)` for the (fn, arg) tasks, in task order. The calling
     thread and up to thread_count - 1 pool helpers take the next task index
@@ -422,7 +414,7 @@ def _run_tasks(tasks, thread_count: int) -> list:
             results[i] = fn(arg)
 
     helpers = min(thread_count, len(tasks)) - 1
-    pending = [_helper_pool(helpers).submit(drain) for _ in range(helpers)] if helpers else []
+    pending = [helper_pool(helpers).submit(drain) for _ in range(helpers)] if helpers else []
     try:
         drain()
     finally:

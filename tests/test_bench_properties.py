@@ -56,13 +56,12 @@ def test_numeric_time_scales_with_voxels_analytic_does_not():
     geom = core.GridGeometry((4, 4, 4), (16.0, 16.0, 16.0))
     grid = vio.make_smooth_grid(geom, amplitude=3.0, smoothness=32.0, seed=2)
     bank = build_vbank(geom.tile_spacing)
+    numeric = [
+        lambda: fd_penalty(grid, NO_WEIGHTS, SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[1]),
+        lambda: fd_penalty(grid, NO_WEIGHTS, SamplingSpec.voxel_grid((1.0, 2.0, 2.0)), terms=[1]),
+    ]
     with single_threaded_blas():
-        t_coarse = best_of(
-            lambda: fd_penalty(grid, NO_WEIGHTS, SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[1]), 3
-        )
-        t_fine = best_of(
-            lambda: fd_penalty(grid, NO_WEIGHTS, SamplingSpec.voxel_grid((1.0, 2.0, 2.0)), terms=[1]), 3
-        )
+        t_coarse, t_fine = best_of_each(numeric, 3, budget_s=0.2)
         t_analytic_a = best_of(lambda: penalty(grid, NO_WEIGHTS, bank, with_gradient=False), 7)
         t_analytic_b = best_of(lambda: penalty(grid, NO_WEIGHTS, bank, with_gradient=False), 7)
     voxel_ratio = t_fine / t_coarse  # 2x the samples
