@@ -7,7 +7,6 @@ import ctypes
 import functools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -83,30 +82,6 @@ def single_threaded_blas():
         yield
     finally:
         set_threads(previous)
-
-
-@functools.lru_cache(maxsize=None)
-def helper_pool(helpers: int) -> ThreadPoolExecutor:
-    """A long-lived pool of `helpers` threads, each bound to its own CPU when
-    the calling thread may run on more CPUs than there are helpers; the
-    caller's thread stays unbound and takes a CPU left over.
-
-    Made once per size: a pool made per call would start its threads, and
-    fault in their stacks and allocator arenas, every time. The binding is
-    there because on a 2-vCPU virtual machine unbound helpers were seen to
-    share the caller's CPU while the other one idled, for minutes at a time.
-    """
-    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    cpus = iter(allowed[-helpers:]) if helpers < len(allowed) else None
-
-    def bind():
-        if cpus is not None:
-            try:
-                os.sched_setaffinity(0, {next(cpus)})
-            except OSError:  # a placement hint only; the CPU may have been withdrawn
-                pass
-
-    return ThreadPoolExecutor(max_workers=helpers, thread_name_prefix="splinereg", initializer=bind)
 
 
 def physical_core_count() -> int:

@@ -30,14 +30,14 @@ The weighted total is S = mu1 S1 + ... + mu5 S5.
 from __future__ import annotations
 
 import io
-import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import bspline_core as core
-from ._threads import helper_pool, single_threaded_blas
+from ._threads import single_threaded_blas
 
 FIRST_DERIVS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 SECOND_DERIVS = (
@@ -390,37 +390,13 @@ def penalty_parallel(
     thread_count: int,
     with_gradient: bool = True,
 ) -> PenaltyResult:
-    """Same contract as `penalty`, with the three component shares and the
-    three cross-term products as six tasks on the calling thread and up to
-    five long-lived helper threads. Results merge in fixed order, so every
-    thread count gives results bitwise identical to `penalty`.
+    """Same contract as `penalty`, with the three coefficient components on up
+    to three worker threads. Shares and cross terms merge in fixed order, so
+    every thread count gives results bitwise identical to `penalty`.
     """
     if thread_count < 1:
         raise ValueError(f"thread_count must be >= 1, got {thread_count}")
     return _lattice_penalty(grid, weights, bank, with_gradient, thread_count)
-
-
-def _run_tasks(tasks, thread_count: int) -> list:
-    """Results of `fn(arg)` for the (fn, arg) tasks, in task order. The calling
-    thread and up to thread_count - 1 pool helpers take the next task index
-    from one shared counter, so a helper that wakes late costs no idle wait.
-    """
-    results = [None] * len(tasks)
-    order = itertools.count()
-
-    def drain():
-        while (i := next(order)) < len(tasks):
-            fn, arg = tasks[i]
-            results[i] = fn(arg)
-
-    helpers = min(thread_count, len(tasks)) - 1
-    pending = [helper_pool(helpers).submit(drain) for _ in range(helpers)] if helpers else []
-    try:
-        drain()
-    finally:
-        for future in pending:
-            future.result()
-    return results
 
 
 def _lattice_penalty(grid, weights, bank, with_gradient: bool, thread_count: int) -> PenaltyResult:
@@ -436,32 +412,29 @@ def _lattice_penalty(grid, weights, bank, with_gradient: bool, thread_count: int
     def share(c):
         return _component_share(coeffs[c], axis_ops, delta_weights, with_gradient)
 
-    def cross_products(term):
-        # <P_i, M P_j> with M = K1 (x) K2 (x) K3 of orders (delta_i, delta_j);
-        # its gradient is M P_j for P_i and M' P_i for P_j.
-        di, dj = term.pair.delta_i, term.pair.delta_j
-        ops = [o[a] if a == b else (o[4] if a > b else o[4].T) for o, a, b in zip(axis_ops, di, dj)]
-        p_i, p_j = coeffs[term.comp_i], coeffs[term.comp_j]
-        forward = _mode_products(p_j, *ops)
-        inner = float(np.sum(p_i * forward))
-        w = float(warr @ np.asarray(term.mults))
-        if not with_gradient or w == 0.0:
-            return inner, w, None, None
-        return inner, w, forward, _mode_products(p_i, *(o.T for o in ops))
-
-    tasks = [(share, c) for c in range(3)] + [(cross_products, term) for term in cross]
     with single_threaded_blas():
-        results = _run_tasks(tasks, thread_count)
-        shares, crossed = results[:3], results[3:]
+        if thread_count == 1:
+            shares = [share(c) for c in range(3)]
+        else:
+            with ThreadPoolExecutor(max_workers=min(thread_count, 3)) as pool:
+                shares = list(pool.map(share, range(3)))
+
         terms5 = np.zeros(5)
         for products, _ in shares:
             terms5 += products @ mults
         gradient = np.stack([g for _, g in shares]) if with_gradient else None
-        for term, (inner, w, forward, backward) in zip(cross, crossed):
-            terms5 += np.asarray(term.mults) * inner
-            if forward is not None:
+        # <P_i, M P_j> with M = K1 (x) K2 (x) K3 of orders (delta_i, delta_j);
+        # its gradient is M P_j for P_i and M' P_i for P_j.
+        for term in cross:
+            di, dj = term.pair.delta_i, term.pair.delta_j
+            ops = [o[a] if a == b else (o[4] if a > b else o[4].T) for o, a, b in zip(axis_ops, di, dj)]
+            p_i, p_j = coeffs[term.comp_i], coeffs[term.comp_j]
+            forward = _mode_products(p_j, *ops)
+            terms5 += np.asarray(term.mults) * float(np.sum(p_i * forward))
+            w = float(warr @ np.asarray(term.mults))
+            if with_gradient and w != 0.0:
                 gradient[term.comp_i] += w * forward
-                gradient[term.comp_j] += w * backward
+                gradient[term.comp_j] += w * _mode_products(p_i, *(o.T for o in ops))
     return PenaltyResult(value=float(warr @ terms5), terms=terms5, gradient=gradient)
 
 

@@ -1,7 +1,5 @@
 """Integrated tile operators and the closed-form penalty assembly."""
 
-import threading
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -414,24 +412,6 @@ def test_parallel_is_deterministic_for_fixed_thread_count():
     b = ra.penalty_parallel(grid, weights, bank, thread_count=3)
     assert a.value == b.value
     np.testing.assert_array_equal(a.gradient, b.gradient)
-
-
-def test_parallel_starts_no_threads_once_warm(monkeypatch):
-    grid = random_grid((3, 3, 3), (10.0, 10.0, 10.0), seed=14)
-    bank = ra.build_vbank(grid.geometry.tile_spacing)
-    weights = ra.RegularizerWeights(1.0, 1.0, 1.0, 1.0, 1.0)
-    ra.penalty_parallel(grid, weights, bank, thread_count=2)
-    started = []
-    start = threading.Thread.start
-
-    def counting_start(thread):
-        started.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    for _ in range(5):
-        ra.penalty_parallel(grid, weights, bank, thread_count=2)
-    assert started == []
 
 
 def test_scale_covariance_against_gauss_oracle():

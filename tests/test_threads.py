@@ -1,8 +1,6 @@
-"""BLAS pool pinning, checked against numpy's bundled OpenBLAS directly, and
-the CPU binding of the helper pool."""
+"""BLAS pool pinning, checked against numpy's bundled OpenBLAS directly."""
 
 import ctypes
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -56,23 +54,3 @@ def test_single_threaded_blas_warns_once_when_it_cannot_pin(monkeypatch, capsys)
         assert capsys.readouterr().err.count("cannot limit BLAS threads") == 1
     finally:
         _threads._warn_unpinned.cache_clear()
-
-
-@pytest.mark.parametrize("helpers, allowed, expected", [
-    (2, {0, 1, 2, 3}, [{2}, {3}]),  # each helper on its own CPU, 0 and 1 left to the caller
-    (1, {0, 1}, [{1}]),
-    (2, {0, 1}, []),  # no CPU would be left to the caller: nothing bound
-], ids=["four-cpus", "two-cpus", "no-spare-cpu"])
-def test_helper_pool_binds_each_helper_to_its_own_cpu(monkeypatch, helpers, allowed, expected):
-    bound = []
-    monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(allowed), raising=False)
-    monkeypatch.setattr(_threads.os, "sched_setaffinity", lambda pid, cpus: bound.append(cpus), raising=False)
-    _threads.helper_pool.cache_clear()
-    try:
-        pool = _threads.helper_pool(helpers)
-        together = threading.Barrier(helpers)  # every helper thread must start
-        list(pool.map(lambda _: together.wait(timeout=10), range(helpers)))
-        pool.shutdown()
-    finally:
-        _threads.helper_pool.cache_clear()
-    assert sorted(bound, key=min) == expected
