@@ -13,7 +13,7 @@ import numpy as np
 
 try:
     from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - threadpoolctl is a declared dependency
+except ImportError:  # threadpoolctl is optional: the ctypes OpenBLAS control below stands in
     threadpool_limits = None
 
 THREADS_ENV_VAR = "SPLINEREG_THREADS"

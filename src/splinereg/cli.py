@@ -300,6 +300,7 @@ def _run_registration(fixed, moving, config, args) -> dict:
         "stage_iterations": [h.iterations for h in histories],
         "stage_final_costs": [h.costs[-1] for h in histories],
         "stage_stop_reasons": [h.stop_reason for h in histories],
+        "stage_evaluations": [h.evaluations for h in histories],
     }
     if args.landmarks_fixed and args.landmarks_moving:
         fixed_lms = metrics.read_landmarks(args.landmarks_fixed)

@@ -20,9 +20,11 @@ from .volume_io import (
     Volume,
     box_downsample,
     covering_geometry,
+    _warped_planes,
     trilinear_sample,
-    warped_voxel_centers,
 )
+
+_SLAB_POINTS = 32768  # data-term sample points per slab: its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,7 @@ class StageHistory:
     iterations: int
     costs: list = field(default_factory=list)
     stop_reason: str = ""
+    evaluations: int = 0
 
 
 def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) -> tuple:
@@ -92,22 +95,22 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) ->
 
     geometry = grid.geometry
     axes = [fixed.axis_coords(d) for d in range(3)]
-    near = [axes[0][0], axes[1][0], axes[2][0]]
-    far = [axes[0][-1], axes[1][-1], axes[2][-1]]
+    near, far = [a[0] for a in axes], [a[-1] for a in axes]
     if not (geometry.contains(near) and geometry.contains(far)):
         raise ValueError("grid extent does not cover the fixed image")
 
-    m_vals, m_grads, inside = trilinear_sample(
-        moving, warped_voxel_centers(grid, fixed), gradient=True
-    )
-    diff = np.where(inside, m_vals - fixed.data, 0.0)
-    value = float(np.sum(diff * diff))
-
     ws = [core.axis_weight_matrix(geometry, d, axes[d], 0) for d in range(3)]
-    gradient = np.empty((3,) + geometry.lattice_shape)
-    for c in range(3):
-        weighted = 2.0 * diff * m_grads[..., c]
-        gradient[c] = core.scatter_separable(weighted, *ws)
+    points = np.moveaxis(_warped_planes(grid, axes, ws), 0, -1)
+    rows = max(1, _SLAB_POINTS // (points.shape[1] * points.shape[2]))
+    diff, weighted = np.empty(fixed.dims), np.empty((3,) + fixed.dims)
+    for lo in range(0, fixed.dims[0], rows):
+        part = slice(lo, lo + rows)
+        m_vals, m_grads, inside = trilinear_sample(moving, points[part], gradient=True)
+        diff[part] = np.where(inside, m_vals - fixed.data[part], 0.0)
+        for c in range(3):
+            weighted[c, part] = 2.0 * diff[part] * m_grads[..., c]
+    value = float(np.sum(diff * diff))
+    gradient = np.stack([core.scatter_separable(weighted[c], *ws) for c in range(3)])
     return value, gradient
 
 
@@ -240,8 +243,11 @@ def optimize(fixed: Volume, moving: Volume, config: RegistrationConfig) -> tuple
             stage_grid = fit_grid_to_field(geometry, axes, samples)
 
         shape = (3,) + geometry.lattice_shape
+        calls = [0]  # cost-and-gradient evaluations in this stage
 
-        def cost(x, geometry=geometry, bank=bank, vol_f=vol_f, vol_m=vol_m, shape=shape):
+        def cost(x, geometry=geometry, bank=bank, vol_f=vol_f, vol_m=vol_m, shape=shape,
+                 calls=calls):
+            calls[0] += 1
             g = core.ControlPointGrid(geometry, x.reshape(shape))
             mse_val, mse_grad = mse_cost_grad(vol_f, vol_m, g)
             pen = penalty(g, config.weights, bank)
@@ -257,6 +263,7 @@ def optimize(fixed: Volume, moving: Volume, config: RegistrationConfig) -> tuple
                 iterations=len(costs) - 1,
                 costs=[float(c) for c in costs],
                 stop_reason=reason,
+                evaluations=calls[0],
             )
         )
     return grid, histories

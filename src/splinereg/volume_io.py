@@ -175,29 +175,28 @@ def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False)
 
     Returns (values, inside_mask) or, with gradient=True, also the exact
     spatial gradient of the interpolant (per mm) at each point. Points outside
-    the voxel-center hull get value 0 and mask False.
+    the voxel-center hull get value 0 and mask False. Work runs on the (3, ...)
+    planes of `points` and of the gradient; (..., 3) views of them cost no copy.
     """
     if volume.components != 1:
         raise ValueError("trilinear_sample expects a scalar volume")
-    pts = np.asarray(points, dtype=float)
-    idx = (pts - np.array(volume.origin)) / np.array(volume.spacing)
-    dims = np.array(volume.dims)
-    inside = np.all((idx >= 0.0) & (idx <= dims - 1), axis=-1)
-    base = np.clip(np.floor(idx).astype(np.int64), 0, np.maximum(dims - 2, 0))
-    frac = np.clip(idx - base, 0.0, 1.0)
+    planes = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    idx = [(planes[d] - volume.origin[d]) / volume.spacing[d] for d in range(3)]
+    inside = np.all([(i >= 0.0) & (i <= n - 1) for i, n in zip(idx, volume.dims)], axis=0)
+    base = [np.clip(np.floor(i).astype(np.int64), 0, max(n - 2, 0)) for i, n in zip(idx, volume.dims)]
+    f1, f2, f3 = (np.clip(i - b, 0.0, 1.0) for i, b in zip(idx, base))
 
     # flat gather: `base` is clipped to dims - 2, so the upper corner is
     # base + 1 on every axis except a one-voxel one, whose stride is 0
     d1, d2, d3 = volume.dims
     s1, s2, s3 = (d2 * d3 if d1 > 1 else 0), (d3 if d2 > 1 else 0), (1 if d3 > 1 else 0)
     flat = volume.data.ravel()
-    i000 = (base[..., 0] * d2 + base[..., 1]) * d3 + base[..., 2]
+    i000 = (base[0] * d2 + base[1]) * d3 + base[2]
     v000, v001 = flat[i000], flat[i000 + s3]
     v010, v011 = flat[i000 + s2], flat[i000 + s2 + s3]
     i100 = i000 + s1
     v100, v101 = flat[i100], flat[i100 + s3]
     v110, v111 = flat[i100 + s2], flat[i100 + s2 + s3]
-    f1, f2, f3 = frac[..., 0], frac[..., 1], frac[..., 2]
     e1, e2, e3 = 1 - f1, 1 - f2, 1 - f3
     c00 = v000 * e3 + v001 * f3
     c01 = v010 * e3 + v011 * f3
@@ -215,28 +214,27 @@ def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False)
         + (v101 - v100) * f1 * e2
         + (v111 - v110) * f1 * f2
     )
-    g2 = (c01 - c00) * e1 + (c11 - c10) * f1
-    g1 = c1 - c0
-    grads = np.stack(
-        [
-            g1 / volume.spacing[0],
-            g2 / volume.spacing[1],
-            g3 / volume.spacing[2],
-        ],
-        axis=-1,
-    )
-    grads = np.where(inside[..., None], grads, 0.0)
-    return values, grads, inside
+    grads = np.empty(planes.shape)
+    for d, g in enumerate((c1 - c0, (c01 - c00) * e1 + (c11 - c10) * f1, g3)):
+        np.divide(g, volume.spacing[d], out=grads[d, ...])
+    grads[:, ~inside] = 0.0
+    return values, np.moveaxis(grads, 0, -1), inside
+
+
+def _warped_planes(grid: core.ControlPointGrid, axes, ws) -> np.ndarray:
+    """(3, S1, S2, S3) planes of x + v(x) on the separable grid `axes`, given
+    the grid's per-axis 0th-order weight matrices `ws` at those coordinates."""
+    planes = np.stack([core._contract(grid.coefficients[c], *ws) for c in range(3)])
+    for d in range(3):
+        planes[d] += axes[d].reshape([-1 if e == d else 1 for e in range(3)])
+    return planes
 
 
 def warped_voxel_centers(grid: core.ControlPointGrid, like: Volume) -> np.ndarray:
-    """Positions x + v(x) of every voxel center x of `like`, shape like.dims + (3,)."""
+    """Positions x + v(x) of every voxel center x of `like`: a like.dims + (3,) planar view."""
     axes = [like.axis_coords(d) for d in range(3)]
-    pts = core.sample_displacement(grid, axes)
-    pts[..., 0] += axes[0][:, None, None]
-    pts[..., 1] += axes[1][None, :, None]
-    pts[..., 2] += axes[2][None, None, :]
-    return pts
+    ws = [core.axis_weight_matrix(grid.geometry, d, axes[d], 0) for d in range(3)]
+    return np.moveaxis(_warped_planes(grid, axes, ws), 0, -1)
 
 
 def warp_volume(moving: Volume, grid: core.ControlPointGrid, like: Volume) -> Volume:

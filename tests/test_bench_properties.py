@@ -4,8 +4,6 @@ These assertions use min-of-repeats with wide bands; they encode scaling
 laws, not absolute speeds.
 """
 
-import time
-
 import numpy as np
 
 from splinereg import bspline_core as core
@@ -13,23 +11,9 @@ from splinereg import volume_io as vio
 from splinereg._threads import single_threaded_blas
 from splinereg.regularizers_analytic import RegularizerWeights, build_vbank, penalty
 from splinereg.regularizers_numeric import SamplingSpec, fd_penalty
+from tests._timing import best_of_each
 
 NO_WEIGHTS = RegularizerWeights()
-
-
-def best_of_each(fns, repeats, budget_s=0.0):
-    """Minimum call time of each function, calling them in turn until each has
-    had at least `repeats` calls and at least `budget_s` seconds of calls.
-    Taking turns puts a slow spell of a shared host on every function alike."""
-    for fn in fns:
-        fn()
-    times = [[] for _ in fns]
-    while len(times[0]) < repeats or min(sum(t) for t in times) < budget_s:
-        for fn, t in zip(fns, times):
-            t0 = time.perf_counter()
-            fn()
-            t.append(time.perf_counter() - t0)
-    return [min(t) for t in times]
 
 
 def best_of(fn, repeats):

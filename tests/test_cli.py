@@ -217,6 +217,9 @@ def test_register_tiny(tmp_path, capsys):
     assert code == 0
     row = jsonl(out)[0]
     assert row["mls"] < row["mls_identity"]
+    # each accepted iteration costs at least one evaluation, the start point one more
+    assert len(row["stage_evaluations"]) == 1
+    assert row["stage_evaluations"][0] >= row["stage_iterations"][0] + 1
     assert (tmp_path / "out.bspg").exists()
     assert (tmp_path / "out_warped.vol").exists()
 

@@ -1,5 +1,7 @@
 """MSE cost/gradient, grid refitting, the quasi-Newton loop, and the driver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,71 @@ def test_mse_gradient_matches_finite_differences():
         assert abs(fd - got) / denom <= 1e-4
         checked += 1
     assert checked == 50
+
+
+def _unsliced_mse(fixed, moving, grid):
+    """mse_cost_grad's value and gradient from one trilinear_sample call on the
+    whole interleaved (..., 3) grid of warped voxel centres."""
+    axes = [fixed.axis_coords(d) for d in range(3)]
+    ws = [core.axis_weight_matrix(grid.geometry, d, axes[d], 0) for d in range(3)]
+    points = np.ascontiguousarray(vio.warped_voxel_centers(grid, fixed))
+    m_vals, m_grads, inside = vio.trilinear_sample(moving, points, gradient=True)
+    diff = np.where(inside, m_vals - fixed.data, 0.0)
+    gradient = np.stack([core.scatter_separable(2.0 * diff * m_grads[..., c], *ws) for c in range(3)])
+    return float(np.sum(diff * diff)), gradient
+
+
+@pytest.mark.parametrize("dims", [(37, 38, 35), (20, 1, 24), (3, 200, 200)])
+def test_mse_slabs_match_unsliced_reference(dims):
+    """Slab boundaries change nothing: a first axis that is no multiple of the
+    slab's rows, a one-voxel axis, a single row above the slab's point budget."""
+    rows = reg._SLAB_POINTS // (dims[1] * dims[2])
+    assert rows == 0 or dims[0] % rows != 0
+    moving = blob_volume(dims=dims, seed=21)
+    fixed = blob_volume(dims=dims, seed=22)
+    geom = vio.covering_geometry(fixed, (8.0, 8.0, 8.0))
+    grid = vio.make_smooth_grid(geom, amplitude=3.0, smoothness=20.0, seed=5)
+    grid.coefficients[np.array(dims) == 1] = 0.0  # keep points on a one-voxel axis's plane
+    value, gradient = reg.mse_cost_grad(fixed, moving, grid)
+    ref_value, ref_gradient = _unsliced_mse(fixed, moving, grid)
+    assert value > 0 and value == ref_value
+    assert gradient.tobytes() == ref_gradient.tobytes()
+
+
+def test_mse_builds_axis_weights_once(monkeypatch):
+    """One evaluation builds the three per-axis weight matrices once and shares
+    them between the warped grid and the gradient scatter."""
+    calls = []
+    build = core.axis_weight_matrix
+
+    def counted(geometry, axis, coords, order=0):
+        calls.append(axis)
+        return build(geometry, axis, coords, order)
+
+    monkeypatch.setattr(core, "axis_weight_matrix", counted)
+    vol = blob_volume(dims=(12, 10, 8))
+    grid = core.ControlPointGrid.zeros(vio.covering_geometry(vol, (8.0, 8.0, 8.0)))
+    reg.mse_cost_grad(vol, vol, grid)
+    assert sorted(calls) == [0, 1, 2]
+
+
+def test_mse_cost_grad_memory_stays_bounded():
+    """At 64^3 one evaluation holds the warped grid, the difference and the
+    three weighted planes plus cache-sized slab temporaries, not full-volume
+    temporaries for every interpolation term."""
+    moving = blob_volume(dims=(64, 64, 64), seed=21)
+    fixed = blob_volume(dims=(64, 64, 64), seed=22)
+    geom = vio.covering_geometry(fixed, (8.0, 8.0, 8.0))
+    grid = vio.make_smooth_grid(geom, amplitude=3.0, smoothness=20.0, seed=5)
+    volume = 64 ** 3 * 8
+    reg.mse_cost_grad(fixed, moving, grid)
+    tracemalloc.start()
+    try:
+        reg.mse_cost_grad(fixed, moving, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * volume, f"peak {peak / volume:.1f} volumes"
 
 
 def test_mse_geometry_mismatch_rejected():
@@ -145,6 +212,31 @@ def test_optimize_identical_images_stays_near_identity():
     assert history[0].costs[0] == 0.0
     assert history[0].costs[-1] <= 1e-18
     assert np.abs(grid.coefficients).max() <= 1e-9
+
+
+def test_stage_evaluations_count_cost_calls(monkeypatch):
+    """StageHistory.evaluations is the number of cost-and-gradient calls the
+    optimizer made in that stage."""
+    calls = []
+    mse = reg.mse_cost_grad
+
+    def counted(fixed, moving, grid):
+        calls.append(grid.geometry.tile_spacing)
+        return mse(fixed, moving, grid)
+
+    monkeypatch.setattr(reg, "mse_cost_grad", counted)
+    moving = blob_volume(dims=(20, 20, 20), seed=11)
+    fixed = blob_volume(dims=(20, 20, 20), seed=12)
+    config = reg.RegistrationConfig(
+        stages=(
+            reg.RegistrationStage((20.0,) * 3, max_iterations=4, image_downsample=2),
+            reg.RegistrationStage((10.0,) * 3, max_iterations=4),
+        ),
+        weights=RegularizerWeights(curvature=1e-2),
+    )
+    _, history = reg.optimize(fixed, moving, config)
+    assert [h.evaluations for h in history] == [calls.count(h.grid_spacing) for h in history]
+    assert all(h.evaluations >= h.iterations + 1 for h in history)
 
 
 def test_costs_monotone_during_registration():

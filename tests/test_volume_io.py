@@ -194,6 +194,31 @@ def test_trilinear_gradient_matches_finite_differences():
             np.testing.assert_allclose(grads[:, axis], fd, atol=1e-6)
 
 
+def test_trilinear_strided_points_match_contiguous_copy():
+    """A non-contiguous (..., 3) view, planar or strided, samples bitwise like
+    its contiguous copy."""
+    rng = np.random.default_rng(8)
+    vol = vio.Volume(data=rng.normal(size=(5, 1, 6)), spacing=(0.7, 1.3, 2.1), origin=(-3.0, 1.5, 4.25))
+    planes = rng.uniform((-4.0, 0.5, 3.0), (1.0, 2.5, 16.0), size=(4, 6, 3)).transpose(2, 0, 1).copy()
+    planes[1, ::2] = 1.5  # on the one-voxel axis's plane, so these rows can be inside
+    for view in (np.moveaxis(planes, 0, -1), np.moveaxis(planes, 0, -1)[::2, ::-1]):
+        assert not view.flags.c_contiguous
+        for gradient in (False, True):
+            got = vio.trilinear_sample(vol, view, gradient=gradient)
+            want = vio.trilinear_sample(vol, np.ascontiguousarray(view), gradient=gradient)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_trilinear_single_point_matches_batch():
+    vol = vio.make_phantom("blobs", (6, 5, 4), (2, 2, 2), seed=1)
+    for point in ([3.1, 2.2, 1.7], [30.0, 1.0, 1.0]):
+        single = vio.trilinear_sample(vol, np.array(point), gradient=True)
+        batch = vio.trilinear_sample(vol, np.array([point]), gradient=True)
+        for s, b in zip(single, batch):
+            assert s.shape == b.shape[1:] and s.tobytes() == b[0].tobytes()
+
+
 def test_trilinear_outside_is_masked():
     vol = vio.make_phantom("gradient", (4, 4, 4), (1, 1, 1))
     values, inside = vio.trilinear_sample(vol, np.array([[10.0, 0.0, 0.0]]))
