@@ -108,14 +108,23 @@ def physical_core_count() -> int:
     return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=None)
+def _warn_bad_thread_env(value: str):
+    print(f"splinereg: warning: {THREADS_ENV_VAR}={value!r} is not a positive integer; "
+          "using 1 thread", file=sys.stderr)
+
+
 def resolve_thread_count(flag_value: int | None) -> int:
-    """Thread count from CLI flag, else environment, else 1. The flag wins."""
+    """Thread count from CLI flag, else environment, else 1. The flag wins; an
+    environment value that is not a positive integer is reported once on stderr."""
     if flag_value is not None:
         return max(1, int(flag_value))
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
-            return max(1, int(env))
+            if int(env) >= 1:
+                return int(env)
         except ValueError:
             pass
+        _warn_bad_thread_env(env)
     return 1

@@ -32,6 +32,8 @@ MIN_TILE_SPACING = 1e-6  # mm; below this the 1/r^3 scaling is meaningless
 # points computed as `origin + n * spacing` land inside despite rounding.
 _EXTENT_SLACK = 1e-9
 
+_SLAB_POINTS = 32768  # sample points per slab: a slab's temporaries stay in cache
+
 
 def _derivative_matrix(order: int) -> np.ndarray:
     """Matrix D with D[m, m-order] = m!/(m-order)! mapping monomial coefficients
@@ -343,11 +345,20 @@ def axis_weight_matrix(geometry: GridGeometry, axis: int, coords, order: int = 0
     return out
 
 
+def _slabs(shape) -> list:
+    """Slabs of whole first-axis rows of a (S1, S2, S3) grid, ~_SLAB_POINTS points each."""
+    rows = max(1, _SLAB_POINTS // (shape[1] * shape[2]))
+    return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
+
+
 def _contract(lattice: np.ndarray, w1: np.ndarray, w2: np.ndarray, w3: np.ndarray) -> np.ndarray:
-    out = np.tensordot(w1, lattice, axes=(1, 0))  # (S1, P2, P3)
-    out = np.tensordot(out, w2, axes=(1, 1))      # (S1, P3, S2)
-    out = np.tensordot(out, w3, axes=(1, 1))      # (S1, S2, S3)
-    return out
+    return _contract23(np.tensordot(w1, lattice, axes=(1, 0)), w2, w3)  # (S1, P2, P3) first
+
+
+def _contract23(partial: np.ndarray, w2: np.ndarray, w3: np.ndarray) -> np.ndarray:
+    """Axes 2 and 3 of the separable contraction: (S1, P2, P3) -> (S1, S2, S3)."""
+    out = np.tensordot(partial, w2, axes=(1, 1))  # (S1, P3, S2)
+    return np.tensordot(out, w3, axes=(1, 1))     # (S1, S2, S3)
 
 
 def sample_displacement(grid: ControlPointGrid, axes) -> np.ndarray:

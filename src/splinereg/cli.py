@@ -84,6 +84,7 @@ def cmd_penalty(args) -> int:
     weights = _weights_from_args(args)
     threads = resolve_thread_count(args.threads)
 
+    bank = None
     if args.dump_vbank:
         bank = analytic.build_vbank(grid.geometry.tile_spacing)
         analytic.write_vbank(bank, args.dump_vbank)
@@ -91,7 +92,8 @@ def cmd_penalty(args) -> int:
 
     t0 = time.perf_counter()
     if args.method == "analytic":
-        bank = analytic.build_vbank(grid.geometry.tile_spacing)
+        if bank is None:
+            bank = analytic.build_vbank(grid.geometry.tile_spacing)
         res = analytic.penalty_parallel(grid, weights, bank, threads, with_gradient=bool(args.dump_gradient))
         terms, value = res.terms, res.value
         if args.dump_gradient:

@@ -89,21 +89,27 @@ def jacobian_map(grid: core.ControlPointGrid, spec: SamplingSpec) -> tuple:
     """Map of det(I + grad v) over a sample grid, plus its global minimum.
 
     First derivatives come from the basis (analytic), not finite differences,
-    so folds are detected at the resolution of the sampling only.
+    so folds are detected at the resolution of the sampling only. The per-axis
+    weights of orders 0 and 1 are built once, and the determinant is taken
+    slab by slab from the nine partials: beyond the output, memory holds the
+    six first-axis contractions and one slab's partials.
     """
     axes, steps = sample_axes(grid.geometry, spec)
-    jac = np.empty((len(axes[0]), len(axes[1]), len(axes[2]), 3, 3))
-    for c in range(3):
-        for d in range(3):
-            orders = tuple(1 if a == d else 0 for a in range(3))
-            jac[..., c, d] = core.sample_partial(grid, axes, c + 1, orders)
-    jac[..., 0, 0] += 1.0
-    jac[..., 1, 1] += 1.0
-    jac[..., 2, 2] += 1.0
-    det = (
-        jac[..., 0, 0] * (jac[..., 1, 1] * jac[..., 2, 2] - jac[..., 1, 2] * jac[..., 2, 1])
-        - jac[..., 0, 1] * (jac[..., 1, 0] * jac[..., 2, 2] - jac[..., 1, 2] * jac[..., 2, 0])
-        + jac[..., 0, 2] * (jac[..., 1, 0] * jac[..., 2, 1] - jac[..., 1, 1] * jac[..., 2, 0])
-    )
+    ws = [[core.axis_weight_matrix(grid.geometry, e, axes[e], o) for o in (0, 1)] for e in range(3)]
+    # The first axis is contracted whole: BLAS can round a product of a few
+    # weight rows differently from the same rows of the whole product.
+    firsts = [[np.tensordot(w, grid.coefficients[c], axes=(1, 0)) for w in ws[0]] for c in range(3)]
+    det = np.empty(tuple(len(a) for a in axes))
+    for part in core._slabs(det.shape):
+        # d nu_c / d x_d: derivative order (d == e) along each axis e
+        jac = [[core._contract23(firsts[c][d == 0][part], ws[1][d == 1], ws[2][d == 2])
+                for d in range(3)] for c in range(3)]
+        for c in range(3):
+            jac[c][c] += 1.0
+        det[part] = (
+            jac[0][0] * (jac[1][1] * jac[2][2] - jac[1][2] * jac[2][1])
+            - jac[0][1] * (jac[1][0] * jac[2][2] - jac[1][2] * jac[2][0])
+            + jac[0][2] * (jac[1][0] * jac[2][1] - jac[1][1] * jac[2][0])
+        )
     origin = tuple(float(a[0]) for a in axes)
     return Volume(data=det, spacing=steps, origin=origin), float(det.min())

@@ -24,8 +24,6 @@ from .volume_io import (
     trilinear_sample,
 )
 
-_SLAB_POINTS = 32768  # data-term sample points per slab: its temporaries stay in cache
-
 
 @dataclass(frozen=True)
 class RegistrationStage:
@@ -101,10 +99,8 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) ->
 
     ws = [core.axis_weight_matrix(geometry, d, axes[d], 0) for d in range(3)]
     points = np.moveaxis(_warped_planes(grid, axes, ws), 0, -1)
-    rows = max(1, _SLAB_POINTS // (points.shape[1] * points.shape[2]))
     diff, weighted = np.empty(fixed.dims), np.empty((3,) + fixed.dims)
-    for lo in range(0, fixed.dims[0], rows):
-        part = slice(lo, lo + rows)
+    for part in core._slabs(fixed.dims):
         m_vals, m_grads, inside = trilinear_sample(moving, points[part], gradient=True)
         diff[part] = np.where(inside, m_vals - fixed.data[part], 0.0)
         for c in range(3):

@@ -3,15 +3,16 @@
 Two routes are provided. `fd_penalty` mirrors the conventional numerical
 approach: sample the displacement field densely, take finite differences of
 the samples, square/multiply, and sum times cell volume. `quadrature_penalty`
-is the stronger oracle: the derivatives themselves are exact (evaluated from
-the basis), so only the midpoint integration is approximate and the error
-shrinks as O(h^2) toward the closed-form values.
+is the stronger oracle: the derivatives at every tile's cell centers are
+exact (separable contractions with basis-derivative weights), so only the
+midpoint integration is approximate and the error shrinks as O(h^2) toward
+the closed-form values.
 
 Both compute the same five penalty definitions as the analytic module, written
 here as the ordered sums over components and derivative directions so the
-analytic multiplicity bookkeeping is checked rather than shared: `fd_penalty`
-counts each distinct derivative's multiplicity from the ordered direction
-tuples instead of reading the analytic tables.
+analytic multiplicity bookkeeping is checked rather than shared: both count
+each distinct derivative's multiplicity from the ordered direction tuples
+(`_penalty_sums`) instead of reading the analytic tables.
 """
 
 from __future__ import annotations
@@ -198,6 +199,42 @@ def _interior(shape, margin: int):
     return (slice(margin, -margin),) * 3
 
 
+def _penalty_sums(wanted, regions, derivatives) -> np.ndarray:
+    """The wanted S1..S5 as sample sums (others zero), before the cell volume.
+
+    The ordered sums over directions, with each distinct derivative taken
+    once and weighted by how many ordered direction tuples produce it: S1 and
+    S3 square first derivatives (j), S2 second (j, k), S4 third (j, k, q); S5
+    squares the field itself. `derivatives(c, deltas)` yields (delta, values)
+    of component c; S_n sums `values[regions[n]]`.
+    """
+    uses: dict = {}  # multi-index -> [(regularizer, multiplicity)]
+    for n, order in ((0, 1), (1, 2), (2, 1), (3, 3), (4, 0)):
+        if n in wanted:
+            for delta, mult in _ordered_multiplicities(order).items():
+                uses.setdefault(delta, []).append((n, mult))
+
+    out = np.zeros(5)
+    diag = []  # d nu_c / d x_c, for the elastic cross products
+    for c in range(3):
+        first_c = tuple(1 if a == c else 0 for a in range(3))
+        for delta, d in derivatives(c, tuple(uses)):
+            for n, mult in uses[delta]:
+                out[n] += mult * np.sum(d[regions[n]] ** 2)
+            if 2 in wanted and delta == first_c:
+                diag.append(d)
+            del d
+
+    if 2 in wanted:
+        # S3 adds the three divergence-style cross products of distinct
+        # diagonal first derivatives, each once
+        r3 = regions[2]
+        for a in range(3):
+            for b in range(a + 1, 3):
+                out[2] += np.sum((diag[a] * diag[b])[r3])
+    return out
+
+
 def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyValueBreakdown:
     """Finite-difference penalties over a dense sampling of the field.
 
@@ -235,54 +272,12 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyValueBre
             return (slice(2, -2),) * 3  # padding absorbs the stencil margin
         return _interior(field.shape[:3], margin)
 
-    # The ordered sums over directions, with each distinct derivative taken
-    # once and weighted by how many ordered direction tuples produce it:
-    # S1 and S3 square first derivatives (j), S2 second (j, k), S4 third
-    # (j, k, q); S5 squares the field itself.
-    uses: dict = {}  # multi-index -> [(regularizer, multiplicity)]
-    for n, order in ((0, 1), (1, 2), (2, 1), (3, 3), (4, 0)):
-        if n in wanted:
-            for delta, mult in _ordered_multiplicities(order).items():
-                uses.setdefault(delta, []).append((n, mult))
     regions = {n: region(_REG_MARGINS[n]) for n in wanted}
-
-    out = np.zeros(5)
-    diag = []  # d nu_c / d x_c, for the elastic cross products
-    for c in range(3):
-        first_c = tuple(1 if a == c else 0 for a in range(3))
-        for delta, d in _fd_derivatives(field[..., c], tuple(uses), steps):
-            for n, mult in uses[delta]:
-                out[n] += mult * np.sum(d[regions[n]] ** 2)
-            if 2 in wanted and delta == first_c:
-                diag.append(d)
-            del d
-
-    if 2 in wanted:
-        # S3 adds the three divergence-style cross products of distinct
-        # diagonal first derivatives, each once
-        r3 = regions[2]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                out[2] += np.sum((diag[a] * diag[b])[r3])
-
+    out = _penalty_sums(
+        wanted, regions, lambda c, deltas: _fd_derivatives(field[..., c], deltas, steps)
+    )
     out *= cell
     return PenaltyValueBreakdown(terms=out, value=float(weights.as_array() @ out))
-
-
-def _tile_midpoint_weights(geometry: core.GridGeometry, samples_per_tile) -> list:
-    """Per-axis basis-derivative weights at tile-local midpoint samples.
-
-    The sample layout repeats identically in every tile, so one (samples, 4)
-    matrix per axis and derivative order serves the whole grid.
-    """
-    weights = []
-    for d in range(3):
-        r = geometry.tile_spacing[d]
-        n = samples_per_tile[d]
-        x = (np.arange(n) + 0.5) * (r / n)
-        xv = np.stack([np.ones_like(x), x, x ** 2, x ** 3], axis=1)
-        weights.append([xv @ core.build_q(r, o).entries.T for o in range(4)])
-    return weights
 
 
 def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyValueBreakdown:
@@ -290,59 +285,29 @@ def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyValueBreakdown
 
     The integrand values are exact; only the integration is approximate, which
     makes this the reference oracle for the closed-form path. Converges O(h^2)
-    in the per-axis sample spacing.
+    in the per-axis sample spacing. It walks the cell centers of
+    `SamplingSpec.per_tile` in slabs, with per-axis weights built once.
     """
     from .regularizers_analytic import RegularizerWeights
 
     if not isinstance(weights, RegularizerWeights):
         weights = RegularizerWeights.from_array(weights)
-    spt = tuple(int(s) for s in core._triple(samples_per_tile, "samples_per_tile", int))
+    spec = SamplingSpec.per_tile(samples_per_tile)
+    spt = spec.samples_per_tile
     if any(s < 2 for s in spt):
         raise ValueError(f"need at least 2 samples per tile per axis, got {spt}")
 
     geometry = grid.geometry
-    gmap = core.support_index_map(geometry)
-    blocks = [grid.coefficients[c].ravel()[gmap].reshape(-1, 4, 4, 4) for c in range(3)]
-    wts = _tile_midpoint_weights(geometry, spt)
-    cell = float(np.prod(geometry.tile_spacing)) / float(np.prod(spt))
-
+    axes, _ = sample_axes(geometry, spec)
+    ws = [[core.axis_weight_matrix(geometry, d, axes[d], o) for o in range(4)] for d in range(3)]
+    everything = dict.fromkeys(range(5), (slice(None),) * 3)
     terms = np.zeros(5)
-    diag_firsts = []
-    for c in range(3):
-        maps: dict = {}
+    for part in core._slabs(tuple(len(a) for a in axes)):
+        def derivatives(c, deltas, part=part):
+            for delta in deltas:
+                w1, w2, w3 = (ws[d][delta[d]] for d in range(3))
+                yield delta, core._contract(grid.coefficients[c], w1[part], w2, w3)
 
-        def deriv(orders, comp=c) -> np.ndarray:
-            if orders not in maps:
-                a = np.tensordot(blocks[comp], wts[0][orders[0]], axes=([1], [1]))  # (T,4,4,s1)
-                a = np.tensordot(a, wts[1][orders[1]], axes=([1], [1]))             # (T,4,s1,s2)
-                a = np.tensordot(a, wts[2][orders[2]], axes=([1], [1]))             # (T,s1,s2,s3)
-                maps[orders] = a
-            return maps[orders]
-
-        f0 = deriv((0, 0, 0))
-        terms[4] += np.sum(f0 * f0)
-        for j in range(3):
-            orders = tuple(1 if a == j else 0 for a in range(3))
-            g = deriv(orders)
-            terms[0] += np.sum(g * g)
-            for k in range(3):
-                orders2 = tuple((1 if a == j else 0) + (1 if a == k else 0) for a in range(3))
-                g2 = deriv(orders2)
-                terms[1] += np.sum(g2 * g2)
-                for q in range(3):
-                    orders3 = tuple(
-                        (1 if a == j else 0) + (1 if a == k else 0) + (1 if a == q else 0)
-                        for a in range(3)
-                    )
-                    g3 = deriv(orders3)
-                    terms[3] += np.sum(g3 * g3)
-        diag_firsts.append(deriv(tuple(1 if a == c else 0 for a in range(3))))
-
-    s3_cross = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            s3_cross += np.sum(diag_firsts[a] * diag_firsts[b])
-    terms[2] = terms[0] + s3_cross
-
-    terms *= cell
+        terms += _penalty_sums(range(5), everything, derivatives)
+    terms *= float(np.prod(geometry.tile_spacing)) / float(np.prod(spt))
     return PenaltyValueBreakdown(terms=terms, value=float(weights.as_array() @ terms))

@@ -239,7 +239,10 @@ def warped_voxel_centers(grid: core.ControlPointGrid, like: Volume) -> np.ndarra
 
 def warp_volume(moving: Volume, grid: core.ControlPointGrid, like: Volume) -> Volume:
     """Resample `moving` through the transform x -> x + v(x) onto `like`'s voxels."""
-    values, _ = trilinear_sample(moving, warped_voxel_centers(grid, like))
+    points = warped_voxel_centers(grid, like)
+    values = np.empty(like.dims)
+    for part in core._slabs(like.dims):
+        values[part], _ = trilinear_sample(moving, points[part])
     return Volume(data=values, spacing=like.spacing, origin=like.origin)
 
 

@@ -62,7 +62,12 @@ def test_penalty_malformed_file(tmp_path, capsys):
     assert "error" in err
 
 
-def test_penalty_dump_vbank_and_gradient(grid_file, tmp_path, capsys):
+def test_penalty_dump_vbank_and_gradient(grid_file, tmp_path, capsys, monkeypatch):
+    from splinereg import regularizers_analytic
+
+    built = []
+    build = regularizers_analytic.build_vbank
+    monkeypatch.setattr(regularizers_analytic, "build_vbank", lambda s: built.append(s) or build(s))
     vb = tmp_path / "ops.vbank"
     gr = tmp_path / "grad.bspg"
     code, _, _ = run_cli(
@@ -76,6 +81,7 @@ def test_penalty_dump_vbank_and_gradient(grid_file, tmp_path, capsys):
     assert len(bank) == 23
     gradient = vio.read_grid(gr)
     assert np.any(gradient.coefficients != 0.0)
+    assert len(built) == 1  # the dumped bank is the one the penalty uses
 
 
 def test_compare_reports_all_regularizers(grid_file, capsys):
@@ -253,7 +259,8 @@ def test_register_weight_sweep(tmp_path, capsys):
     assert all(r["sweep_regularizer"] == "curvature" for r in rows)
 
 
-def test_thread_count_resolution(monkeypatch):
+def test_thread_count_resolution(monkeypatch, capsys):
+    from splinereg import _threads
     from splinereg._threads import THREADS_ENV_VAR, resolve_thread_count
 
     monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
@@ -261,8 +268,17 @@ def test_thread_count_resolution(monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "3")
     assert resolve_thread_count(None) == 3
     assert resolve_thread_count(2) == 2  # the flag wins
-    monkeypatch.setenv(THREADS_ENV_VAR, "junk")
-    assert resolve_thread_count(None) == 1
+    assert capsys.readouterr().err == ""
+    _threads._warn_bad_thread_env.cache_clear()
+    try:
+        for bad in ("junk", "0", "-2"):
+            monkeypatch.setenv(THREADS_ENV_VAR, bad)
+            assert resolve_thread_count(None) == 1
+            assert resolve_thread_count(None) == 1
+            err = capsys.readouterr().err
+            assert err.count(f"{THREADS_ENV_VAR}={bad!r}") == 1, err  # said once
+    finally:
+        _threads._warn_bad_thread_env.cache_clear()
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,11 +1,13 @@
 """Jacobian maps, landmark warping, and mean landmark separation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from splinereg import bspline_core as core
 from splinereg import field_metrics as fm
-from splinereg.regularizers_numeric import SamplingSpec
+from splinereg.regularizers_numeric import SamplingSpec, sample_axes
 from splinereg.volume_io import make_smooth_grid
 from tests.conftest import random_grid
 
@@ -46,6 +48,57 @@ def test_regularization_raises_min_jacobian():
     _, min_smooth = fm.jacobian_map(smooth, spec)
     assert min_rough < 1.0
     assert min_smooth > min_rough
+
+
+def _jacobian_reference(grid, spec):
+    """det(I + grad v) from a (S, 3, 3) array of the nine whole-grid partials
+    that core.sample_partial gives."""
+    axes, _ = sample_axes(grid.geometry, spec)
+    jac = np.empty(tuple(len(a) for a in axes) + (3, 3))
+    for c in range(3):
+        for d in range(3):
+            orders = tuple(1 if a == d else 0 for a in range(3))
+            jac[..., c, d] = core.sample_partial(grid, axes, c + 1, orders)
+    for c in range(3):
+        jac[..., c, c] += 1.0
+    return (
+        jac[..., 0, 0] * (jac[..., 1, 1] * jac[..., 2, 2] - jac[..., 1, 2] * jac[..., 2, 1])
+        - jac[..., 0, 1] * (jac[..., 1, 0] * jac[..., 2, 2] - jac[..., 1, 2] * jac[..., 2, 0])
+        + jac[..., 0, 2] * (jac[..., 1, 0] * jac[..., 2, 1] - jac[..., 1, 1] * jac[..., 2, 0])
+    )
+
+
+@pytest.mark.parametrize("tiles, samples", [((13, 12, 11), 4), ((1, 3, 2), 1)])
+def test_jacobian_slabs_match_whole_grid_reference(tiles, samples):
+    """Slab boundaries change nothing: 52 first-axis samples are no multiple
+    of the 15-row slab, and a grid of 1 x 3 x 2 samples is one partial slab."""
+    spec = SamplingSpec.per_tile((samples,) * 3)
+    shape = tuple(t * samples for t in tiles)
+    rows = core._SLAB_POINTS // (shape[1] * shape[2])
+    assert shape[0] % rows != 0
+    geom = core.GridGeometry(tiles, (7.0, 8.5, 9.25), (-13.5, 4.25, 21.0))
+    grid = make_smooth_grid(geom, amplitude=2.0, smoothness=20.0, seed=4)
+    vol, min_j = fm.jacobian_map(grid, spec)
+    want = _jacobian_reference(grid, spec)
+    assert vol.data.tobytes() == want.tobytes()
+    assert min_j == float(want.min())
+
+
+def test_jacobian_map_memory_stays_bounded():
+    """At 32^3 tiles x 4^3 samples one call holds the output volume, the six
+    first-axis contractions and one slab's partials, not a (S, 3, 3) array."""
+    geom = core.GridGeometry((32, 32, 32), (8.0, 8.0, 8.0))
+    grid = make_smooth_grid(geom, amplitude=2.0, smoothness=20.0, seed=3)
+    spec = SamplingSpec.per_tile((4, 4, 4))
+    volume = 128 ** 3 * 8
+    fm.jacobian_map(grid, spec)
+    tracemalloc.start()
+    try:
+        fm.jacobian_map(grid, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * volume, f"peak {peak / volume:.1f} volumes"
 
 
 def test_warp_identity_and_translation():

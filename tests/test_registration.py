@@ -89,7 +89,7 @@ def _unsliced_mse(fixed, moving, grid):
 def test_mse_slabs_match_unsliced_reference(dims):
     """Slab boundaries change nothing: a first axis that is no multiple of the
     slab's rows, a one-voxel axis, a single row above the slab's point budget."""
-    rows = reg._SLAB_POINTS // (dims[1] * dims[2])
+    rows = core._SLAB_POINTS // (dims[1] * dims[2])
     assert rows == 0 or dims[0] % rows != 0
     moving = blob_volume(dims=dims, seed=21)
     fixed = blob_volume(dims=dims, seed=22)

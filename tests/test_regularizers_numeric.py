@@ -7,9 +7,9 @@ import pytest
 
 from splinereg import bspline_core as core
 from splinereg import regularizers_numeric as rn
-from splinereg.regularizers_analytic import RegularizerWeights, build_vbank, penalty
+from splinereg.regularizers_analytic import DerivPair, RegularizerWeights, build_vbank, penalty
 from splinereg.volume_io import make_smooth_grid
-from tests.conftest import random_grid
+from tests.conftest import midpoint_v_integral, random_grid
 
 NO_WEIGHTS = RegularizerWeights()
 
@@ -223,6 +223,66 @@ def test_quadrature_requires_two_samples_per_axis():
     grid = random_grid((2, 2, 2), (10.0, 10.0, 10.0), seed=6)
     with pytest.raises(ValueError):
         rn.quadrature_penalty(grid, NO_WEIGHTS, (1, 4, 4))
+
+
+def _tile_midpoint_terms(grid, samples):
+    """S1..S5 as explicit ordered sums, over tiles, components and directions,
+    of midpoint-rule quadratic forms p_a' V p_b on each tile's coefficients."""
+    spacing = grid.geometry.tile_spacing
+    unit = [tuple(1 if a == j else 0 for a in range(3)) for j in range(3)]
+    total = lambda *deltas: tuple(int(sum(v)) for v in zip((0, 0, 0), *deltas))
+    ops = {}
+
+    def form(delta_a, p_a, delta_b, p_b):
+        """Midpoint integral of d^delta_a v_a times d^delta_b v_b over one tile."""
+        pair, swapped = DerivPair.canonical(delta_a, delta_b)
+        if pair not in ops:
+            ops[pair] = midpoint_v_integral(spacing, pair, samples)
+        return p_b @ ops[pair] @ p_a if swapped else p_a @ ops[pair] @ p_b
+
+    terms = np.zeros(5)
+    cross = 0.0
+    for tile in np.ndindex(*grid.geometry.tile_counts):
+        p = core.tile_coefficients(grid, tile)
+        for c in range(3):
+            terms[4] += form(total(), p[c], total(), p[c])
+            for j in range(3):
+                terms[0] += form(unit[j], p[c], unit[j], p[c])
+                for k in range(3):
+                    d2 = total(unit[j], unit[k])
+                    terms[1] += form(d2, p[c], d2, p[c])
+                    for q in range(3):
+                        d3 = total(unit[j], unit[k], unit[q])
+                        terms[3] += form(d3, p[c], d3, p[c])
+        for a in range(3):
+            for b in range(a + 1, 3):
+                cross += form(unit[a], p[a], unit[b], p[b])
+    terms[2] = terms[0] + cross
+    return terms
+
+
+@pytest.mark.parametrize("tiles, spacing", [((1, 1, 1), (7.0, 11.0, 13.0)), ((2, 1, 3), (9.0, 6.0, 12.5))])
+def test_quadrature_matches_explicit_tile_midpoint_rule(tiles, spacing):
+    """The separable sampled sums equal the per-tile midpoint rule written out
+    term by term, for all five regularizers."""
+    grid = random_grid(tiles, spacing, seed=17, scale=2.0, origin=(-4.0, 3.5, 1.25))
+    for samples in (2, 5):
+        got = rn.quadrature_penalty(grid, NO_WEIGHTS, (samples,) * 3).terms
+        np.testing.assert_allclose(got, _tile_midpoint_terms(grid, samples), rtol=1e-12)
+
+
+def test_quadrature_memory_stays_bounded():
+    """At 8^3 tiles x 16^3 samples one call holds slab-sized derivatives, not
+    full-size derivative volumes."""
+    grid = random_grid((8, 8, 8), (11.0, 13.0, 17.0), seed=5, scale=3.0)
+    volume = 128 ** 3 * 8
+    tracemalloc.start()
+    try:
+        rn.quadrature_penalty(grid, NO_WEIGHTS, (16, 16, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * volume, f"peak {peak / volume:.1f} volumes"
 
 
 def test_quadrature_converges_second_order_to_analytic():

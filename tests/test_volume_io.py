@@ -1,5 +1,7 @@
 """Volume/grid file formats, synthetic generators, and resampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,39 @@ def test_warp_volume_identity():
     zero = core.ControlPointGrid.zeros(geom)
     warped = vio.warp_volume(vol, zero, vol)
     np.testing.assert_allclose(warped.data, vol.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(37, 38, 35), (3, 200, 200), (20, 1, 24)])
+def test_warp_volume_slabs_match_one_call(dims):
+    """Slab boundaries change nothing: a first axis that is no multiple of the
+    slab's rows, a single row above the slab's point budget, a one-voxel axis."""
+    rows = core._SLAB_POINTS // (dims[1] * dims[2])
+    assert rows == 0 or dims[0] % rows != 0
+    moving = vio.make_phantom("blobs", dims, (2.0, 2.0, 2.0), seed=21)
+    geom = vio.covering_geometry(moving, (8.0, 8.0, 8.0))
+    grid = vio.make_smooth_grid(geom, amplitude=3.0, smoothness=20.0, seed=5)
+    grid.coefficients[np.array(dims) == 1] = 0.0  # keep points on a one-voxel axis's plane
+    want, inside = vio.trilinear_sample(moving, vio.warped_voxel_centers(grid, moving))
+    assert inside.any()
+    warped = vio.warp_volume(moving, grid, moving)
+    assert warped.data.tobytes() == want.tobytes()
+
+
+def test_warp_volume_memory_stays_bounded():
+    """At 64^3 one call holds the warped grid and the output plus cache-sized
+    slab temporaries, not full-volume temporaries for every interpolation term."""
+    moving = vio.make_phantom("blobs", (64, 64, 64), (2.0, 2.0, 2.0), seed=21)
+    geom = vio.covering_geometry(moving, (8.0, 8.0, 8.0))
+    grid = vio.make_smooth_grid(geom, amplitude=3.0, smoothness=20.0, seed=5)
+    volume = 64 ** 3 * 8
+    vio.warp_volume(moving, grid, moving)
+    tracemalloc.start()
+    try:
+        vio.warp_volume(moving, grid, moving)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * volume, f"peak {peak / volume:.1f} volumes"
 
 
 def test_box_downsample():
