@@ -240,10 +240,10 @@ def optimize(fixed: Volume, moving: Volume, config: RegistrationConfig) -> tuple
 
         shape = (3,) + geometry.lattice_shape
         # glibc gives freed heap memory back to the OS above a threshold that
-        # rises to the largest mapped block freed so far. Freeing one block of
-        # about an evaluation's working set here keeps the evaluations'
-        # temporaries in the heap instead of faulting them in afresh each time.
-        np.empty(min(16 * vol_f.data.nbytes, 31 << 20), dtype=np.uint8)
+        # rises with the largest mapped block freed so far (up to 32 MiB).
+        # Freeing one such block here keeps the evaluations' temporaries in
+        # the heap instead of faulting them in afresh on every evaluation.
+        np.empty(31 << 20, dtype=np.uint8)
         calls = [0]  # cost-and-gradient evaluations in this stage
 
         def cost(x, geometry=geometry, bank=bank, vol_f=vol_f, vol_m=vol_m, shape=shape,
