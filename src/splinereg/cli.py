@@ -84,16 +84,14 @@ def cmd_penalty(args) -> int:
     weights = _weights_from_args(args)
     threads = resolve_thread_count(args.threads)
 
-    bank = None
-    if args.dump_vbank:
+    if args.method == "analytic" or args.dump_vbank:
         bank = analytic.build_vbank(grid.geometry.tile_spacing)
+    if args.dump_vbank:
         analytic.write_vbank(bank, args.dump_vbank)
         _note(f"wrote V bank ({len(bank)} operators) to {args.dump_vbank}")
 
     t0 = time.perf_counter()
     if args.method == "analytic":
-        if bank is None:
-            bank = analytic.build_vbank(grid.geometry.tile_spacing)
         res = analytic.penalty_parallel(grid, weights, bank, threads, with_gradient=bool(args.dump_gradient))
         terms, value = res.terms, res.value
         if args.dump_gradient:

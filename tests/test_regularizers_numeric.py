@@ -230,8 +230,10 @@ def _tile_midpoint_terms(grid, samples):
     of midpoint-rule quadratic forms p_a' V p_b on each tile's coefficients."""
     spacing = grid.geometry.tile_spacing
     unit = [tuple(1 if a == j else 0 for a in range(3)) for j in range(3)]
-    total = lambda *deltas: tuple(int(sum(v)) for v in zip((0, 0, 0), *deltas))
     ops = {}
+
+    def total(*deltas):
+        return tuple(int(sum(v)) for v in zip((0, 0, 0), *deltas))
 
     def form(delta_a, p_a, delta_b, p_b):
         """Midpoint integral of d^delta_a v_a times d^delta_b v_b over one tile."""
