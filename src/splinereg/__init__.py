@@ -1,8 +1,9 @@
 """Analytic regularization of uniform cubic B-spline displacement fields.
 
 Core workflow: build a `ControlPointGrid`, build a `VMatrixBank` once per tile
-spacing, then evaluate the weighted smoothness penalty and its gradient as
-per-tile quadratic forms. Sampled numerical counterparts, field-quality
+spacing, then evaluate the weighted smoothness penalty and its gradient in
+closed form: the per-tile quadratic forms of the bank, summed over the whole
+lattice by per-axis operators. Sampled numerical counterparts, field-quality
 metrics, a registration driver, and synthetic-data generators round out the
 toolkit; the `splinereg` command exposes everything on the command line.
 """
@@ -11,7 +12,6 @@ from .bspline_core import (
     ControlPointGrid,
     GridGeometry,
     LocalCoord,
-    QMatrix,
     build_q,
     eval_basis,
     eval_displacement,

@@ -115,10 +115,11 @@ def _warn_bad_thread_env(value: str):
 
 
 def resolve_thread_count(flag_value: int | None) -> int:
-    """Thread count from CLI flag, else environment, else 1. The flag wins; an
-    environment value that is not a positive integer is reported once on stderr."""
+    """Thread count from CLI flag, else environment, else 1. The flag wins (the
+    parser admits only positive integers); an environment value that is not a
+    positive integer is reported once on stderr."""
     if flag_value is not None:
-        return max(1, int(flag_value))
+        return flag_value
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:

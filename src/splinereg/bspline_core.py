@@ -163,16 +163,6 @@ class LocalCoord:
     u: tuple
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """4x4 operator whose product with [1, x, x^2, x^3] gives the four basis
-    values (or their physical derivatives of the given order) at offset x."""
-
-    entries: np.ndarray
-    axis: int
-    order: int
-
-
 def eval_basis(u: float, piece: int, order: int = 0) -> float:
     """Order-th derivative with respect to u of basis piece `piece` at u in [0, 1]."""
     if not 0 <= piece <= 3:
@@ -185,18 +175,19 @@ def eval_basis(u: float, piece: int, order: int = 0) -> float:
     return float(poly @ np.array([1.0, u, u * u, u ** 3]))
 
 
-def build_q(spacing: float, order: int, axis: int = 1) -> QMatrix:
-    """Q = B R Delta for one axis. `spacing` is the tile size along that axis in mm."""
+def build_q(spacing: float, order: int) -> np.ndarray:
+    """Q = B R Delta for one axis: the read-only 4x4 matrix whose product with
+    [1, x, x^2, x^3] gives the four basis values (or their physical
+    derivatives of the given order) at offset x. `spacing` is the tile size
+    along that axis in mm."""
     if not np.isfinite(spacing) or spacing < MIN_TILE_SPACING:
         raise ValueError(f"tile spacing must be >= {MIN_TILE_SPACING} mm, got {spacing}")
     if not 0 <= order <= 3:
         raise ValueError(f"derivative order must be in 0..3, got {order}")
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
     scale = np.diag([1.0, 1.0 / spacing, 1.0 / spacing ** 2, 1.0 / spacing ** 3])
-    entries = BASIS_COEFFS @ scale @ DERIVATIVE_MATRICES[order]
-    entries.setflags(write=False)
-    return QMatrix(entries=entries, axis=axis, order=order)
+    q = BASIS_COEFFS @ scale @ DERIVATIVE_MATRICES[order]
+    q.setflags(write=False)
+    return q
 
 
 def _locate_axis(geometry: GridGeometry, axis: int, values) -> tuple:
@@ -235,7 +226,7 @@ def locate(geometry: GridGeometry, point) -> LocalCoord:
 def _axis_weights(geometry: GridGeometry, axis: int, u, order: int) -> np.ndarray:
     """(..., 4) basis (derivative) values along one axis at normalized offsets u."""
     spacing = geometry.tile_spacing[axis]
-    q = build_q(spacing, order, axis=axis + 1).entries
+    q = build_q(spacing, order)
     x = np.asarray(u, dtype=float) * spacing
     return np.stack([np.ones_like(x), x, x ** 2, x ** 3], axis=-1) @ q.T
 

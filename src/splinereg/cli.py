@@ -69,10 +69,19 @@ def _add_weight_flags(p: argparse.ArgumentParser):
     )
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--threads", type=int, default=None, help="worker threads (flag beats env)")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _add_json_flag(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true", help="emit line-delimited JSON on stdout")
+
+
+def _add_seed_flag(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=0, help="random seed")
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", choices=("skip-boundary", "clamp"), default="skip-boundary")
     p.add_argument("--dump-vbank", metavar="PATH", help="also export the V bank (VBANK1)")
     p.add_argument("--dump-gradient", metavar="PATH", help="write the penalty gradient (BSPG1)")
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="worker threads (flag beats env)")
     _add_weight_flags(p)
-    _add_common_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_penalty)
 
     p = sub.add_parser("compare", help="analytic vs finite-difference values per regularizer")
@@ -490,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--voxel-spacing", type=float, nargs=3, default=(2.0, 2.0, 2.0),
                    metavar=("S1", "S2", "S3"))
     p.add_argument("--boundary", choices=("skip-boundary", "clamp"), default="skip-boundary")
-    _add_common_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="time analytic vs numeric penalties and thread scaling")
@@ -503,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thread-list", type=int, nargs="*", default=None,
                    help="thread counts for the scaling sweep")
     p.add_argument("--skip-numeric", action="store_true", help="only run analytic timings")
-    _add_common_flags(p)
+    _add_seed_flag(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("register", help="MSE + penalty registration of two volumes")
@@ -521,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-regularizer", choices=analytic.REGULARIZER_NAMES,
                    help="which weight --sweep-weights varies")
     _add_weight_flags(p)
-    _add_common_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("metrics", help="min Jacobian and landmark separation of a field")
@@ -534,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landmark-origin", type=float, nargs=3, default=(0.0, 0.0, 0.0),
                    metavar=("O1", "O2", "O3"))
     p.add_argument("--jacobian-samples", type=int, default=4, help="samples per tile per axis")
-    _add_common_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("synth", help="generate synthetic volumes, fields, and grids")
@@ -546,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--voxel-spacing", type=float, nargs=3, default=(2.0, 2.0, 2.0),
                     metavar=("S1", "S2", "S3"))
     sp.add_argument("--out", required=True)
-    _add_common_flags(sp)
+    _add_seed_flag(sp)
+    _add_json_flag(sp)
     sp.set_defaults(func=cmd_synth_phantom)
 
     sp = synth_sub.add_parser("field", help="ground-truth field plus landmark pair")
@@ -557,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--smoothness", type=float, default=30.0, help="correlation scale (mm)")
     sp.add_argument("--landmarks", type=int, default=300)
     sp.add_argument("--out-prefix", dest="out_prefix", default="field")
-    _add_common_flags(sp)
+    _add_seed_flag(sp)
+    _add_json_flag(sp)
     sp.set_defaults(func=cmd_synth_field)
 
     sp = synth_sub.add_parser("grid", help="random coefficient grid")
@@ -569,13 +583,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="if > 0, blur to this physical scale")
     sp.add_argument("--no-taper", action="store_true", help="skip the boundary taper")
     sp.add_argument("--out", required=True)
-    _add_common_flags(sp)
+    _add_seed_flag(sp)
+    _add_json_flag(sp)
     sp.set_defaults(func=cmd_synth_grid)
 
     p = sub.add_parser("vbank", help="build and export the 23 integrated tile operators")
     p.add_argument("--spacing", type=float, nargs=3, required=True, metavar=("R1", "R2", "R3"))
     p.add_argument("--out", required=True)
-    _add_common_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_vbank)
 
     return parser

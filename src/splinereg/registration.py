@@ -124,10 +124,7 @@ def fit_grid_to_field(
         solvers.append(np.linalg.solve(gram, w.T))  # (P, S)
     coeffs = np.empty((3,) + geometry.lattice_shape)
     for c in range(3):
-        out = np.tensordot(solvers[0], field_samples[..., c], axes=(1, 0))  # (P1,S2,S3)
-        out = np.tensordot(out, solvers[1], axes=(1, 1))                    # (P1,S3,P2)
-        out = np.tensordot(out, solvers[2], axes=(1, 1))                    # (P1,P2,P3)
-        coeffs[c] = out
+        coeffs[c] = core._contract(field_samples[..., c], *solvers)
     return core.ControlPointGrid(geometry, coeffs)
 
 

@@ -60,22 +60,16 @@ THIRD_DERIVS = (
     ((0, 1, 2), 3),
     ((1, 1, 1), 6),
 )
-# (delta_a, delta_b, component_a, component_b): the divergence-style cross
-# products of the elastic penalty, one per unordered component pair.
+# (delta_i, delta_j, component_i, component_j): the divergence-style cross
+# products of the elastic penalty, one per unordered component pair, in the
+# canonical orientation delta_i <= delta_j of their V-bank pairs.
 ELASTIC_CROSS = (
-    ((1, 0, 0), (0, 1, 0), 0, 1),
-    ((1, 0, 0), (0, 0, 1), 0, 2),
-    ((0, 1, 0), (0, 0, 1), 1, 2),
+    ((0, 1, 0), (1, 0, 0), 1, 0),
+    ((0, 0, 1), (1, 0, 0), 2, 0),
+    ((0, 0, 1), (0, 1, 0), 2, 1),
 )
 
 REGULARIZER_NAMES = ("diffusion", "curvature", "linear_elastic", "third_order", "total_displacement")
-
-
-def _validate_delta(delta) -> tuple:
-    d = tuple(int(v) for v in delta)
-    if len(d) != 3 or any(v < 0 or v > 3 for v in d) or sum(d) > 3:
-        raise ValueError(f"derivative multi-index must be 3 entries in 0..3, total <= 3: {delta}")
-    return d
 
 
 @dataclass(frozen=True)
@@ -86,8 +80,8 @@ class DerivPair:
     delta_j: tuple
 
     def __post_init__(self):
-        di = _validate_delta(self.delta_i)
-        dj = _validate_delta(self.delta_j)
+        di = core._check_multi_index(self.delta_i)
+        dj = core._check_multi_index(self.delta_j)
         if di > dj:
             raise ValueError(f"pair must be in canonical order (delta_i <= delta_j): {di}, {dj}")
         object.__setattr__(self, "delta_i", di)
@@ -100,7 +94,7 @@ class DerivPair:
         Swapping is harmless because p' V q forms transpose cleanly:
         V(a, b) = V(b, a)' entry for entry.
         """
-        di, dj = _validate_delta(delta_i), _validate_delta(delta_j)
+        di, dj = core._check_multi_index(delta_i), core._check_multi_index(delta_j)
         if di <= dj:
             return cls(di, dj), False
         return cls(dj, di), True
@@ -112,10 +106,10 @@ def canonical_pairs() -> tuple:
     1 zeroth, 3 first squares, 3 first cross pairs, 6 second squares,
     10 third squares."""
     pairs = [DerivPair((0, 0, 0), (0, 0, 0))]
-    pairs += [DerivPair.canonical(d, d)[0] for d in FIRST_DERIVS]
-    pairs += [DerivPair.canonical(da, db)[0] for da, db, _, _ in ELASTIC_CROSS]
-    pairs += [DerivPair.canonical(d, d)[0] for d, _ in SECOND_DERIVS]
-    pairs += [DerivPair.canonical(d, d)[0] for d, _ in THIRD_DERIVS]
+    pairs += [DerivPair(d, d) for d in FIRST_DERIVS]
+    pairs += [DerivPair(di, dj) for di, dj, _, _ in ELASTIC_CROSS]
+    pairs += [DerivPair(d, d) for d, _ in SECOND_DERIVS]
+    pairs += [DerivPair(d, d) for d, _ in THIRD_DERIVS]
     assert len(set(pairs)) == len(pairs) == 23
     return tuple(pairs)
 
@@ -136,8 +130,8 @@ def build_psi(spacing: float, order_a: int, order_b: int) -> np.ndarray:
     the rows of the Q operator. The integrand is a polynomial, so the entries
     are monomial moments contracted with the Q coefficients.
     """
-    qa = core.build_q(spacing, order_a).entries
-    qb = core.build_q(spacing, order_b).entries
+    qa = core.build_q(spacing, order_a)
+    qb = core.build_q(spacing, order_b)
     return qa @ _moment_matrix(spacing) @ qb.T
 
 
@@ -166,9 +160,6 @@ class VMatrixBank:
 
     def get(self, pair: DerivPair) -> np.ndarray:
         return self._entries[pair]
-
-    def __contains__(self, pair: DerivPair) -> bool:
-        return pair in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -241,58 +232,27 @@ class PenaltyResult:
         return dict(zip(REGULARIZER_NAMES, (float(t) for t in self.terms)))
 
 
-@dataclass(frozen=True)
-class _Term:
-    """One distinct quadratic form and its multiplicity in each penalty."""
-
-    pair: DerivPair
-    comp_i: int
-    comp_j: int
-    mults: tuple  # length 5, contribution multiplicity to S1..S5
-    symmetric: bool  # same pair halves and same component on both sides
-
-
-@lru_cache(maxsize=1)
-def _term_table() -> tuple:
-    acc: dict = {}
-
-    def add(which: int, delta_a, delta_b, comp_a: int, comp_b: int, mult: float):
-        pair, swapped = DerivPair.canonical(delta_a, delta_b)
-        ci, cj = (comp_b, comp_a) if swapped else (comp_a, comp_b)
-        key = (pair, ci, cj)
-        mults = acc.setdefault(key, [0.0] * 5)
-        mults[which] += mult
-
-    for c in range(3):
-        add(4, (0, 0, 0), (0, 0, 0), c, c, 1.0)
-        for d in FIRST_DERIVS:
-            add(0, d, d, c, c, 1.0)  # diffusion
-            add(2, d, d, c, c, 1.0)  # elastic reuses the same squares
-        for d, m in SECOND_DERIVS:
-            add(1, d, d, c, c, float(m))
-        for d, m in THIRD_DERIVS:
-            add(3, d, d, c, c, float(m))
-    for da, db, ca, cb in ELASTIC_CROSS:
-        add(2, da, db, ca, cb, 1.0)
-
-    order = {p: i for i, p in enumerate(canonical_pairs())}
-    terms = [
-        _Term(
-            pair=pair,
-            comp_i=ci,
-            comp_j=cj,
-            mults=tuple(m),
-            symmetric=(ci == cj and pair.delta_i == pair.delta_j),
-        )
-        for (pair, ci, cj), m in acc.items()
-    ]
-    terms.sort(key=lambda t: (order[t.pair], t.comp_i, t.comp_j))
-    return tuple(terms)
-
-
 # The 20 multi-indices with |delta| <= 3; those sharing axis-2/3 orders are
 # adjacent, so the lattice kernel's axis-1 stage writes each group at once.
 _DELTAS = tuple((o1, o2, o3) for o3 in range(4) for o2 in range(4 - o3) for o1 in range(4 - o2 - o3))
+
+
+def _square_multiplicities() -> np.ndarray:
+    """(20, 5) multiplicities in S1..S5 of the same-component squares
+    <P_c, X_delta>, in `_DELTAS` order; equal for every component."""
+    mults = np.zeros((len(_DELTAS), 5))
+    mults[_DELTAS.index((0, 0, 0)), 4] = 1.0
+    for d in FIRST_DERIVS:
+        mults[_DELTAS.index(d), [0, 2]] = 1.0  # diffusion; elastic reuses the squares
+    for d, m in SECOND_DERIVS:
+        mults[_DELTAS.index(d), 1] = m
+    for d, m in THIRD_DERIVS:
+        mults[_DELTAS.index(d), 3] = m
+    mults.setflags(write=False)
+    return mults
+
+
+_SQUARE_MULTS = _square_multiplicities()
 
 
 @lru_cache(maxsize=32)
@@ -319,19 +279,6 @@ def _mode_products(vol: np.ndarray, k1, k2, k3) -> np.ndarray:
     p1, p2, p3 = vol.shape
     out = k2 @ (vol.reshape(p1 * p2, p3) @ k3.T).reshape(p1, p2, p3)
     return (k1 @ out.reshape(p1, p2 * p3)).reshape(p1, p2, p3)
-
-
-@lru_cache(maxsize=1)
-def _lattice_tables() -> tuple:
-    """(20, 5) multiplicities in S1..S5 of the same-component squares
-    <P_c, X_delta>, in `_DELTAS` order, and the distinct cross terms."""
-    index = {d: k for k, d in enumerate(_DELTAS)}
-    mults = np.zeros((len(_DELTAS), 5))
-    for term in _term_table():
-        if term.symmetric:
-            mults[index[term.pair.delta_i]] = term.mults  # equal for every component
-    mults.setflags(write=False)
-    return mults, tuple(t for t in _term_table() if not t.symmetric)
 
 
 def _component_share(p: np.ndarray, axis_ops, delta_weights, with_gradient: bool) -> tuple:
@@ -404,9 +351,8 @@ def _lattice_penalty(grid, weights, bank, with_gradient: bool, thread_count: int
     _check_bank(grid, bank)
     geometry = grid.geometry
     axis_ops = [_axis_operators(r, n) for r, n in zip(geometry.tile_spacing, geometry.tile_counts)]
-    mults, cross = _lattice_tables()
     warr = weights.as_array()
-    delta_weights = mults @ warr
+    delta_weights = _SQUARE_MULTS @ warr
     coeffs = grid.coefficients
 
     def share(c):
@@ -421,20 +367,18 @@ def _lattice_penalty(grid, weights, bank, with_gradient: bool, thread_count: int
 
         terms5 = np.zeros(5)
         for products, _ in shares:
-            terms5 += products @ mults
+            terms5 += products @ _SQUARE_MULTS
         gradient = np.stack([g for _, g in shares]) if with_gradient else None
         # <P_i, M P_j> with M = K1 (x) K2 (x) K3 of orders (delta_i, delta_j);
         # its gradient is M P_j for P_i and M' P_i for P_j.
-        for term in cross:
-            di, dj = term.pair.delta_i, term.pair.delta_j
+        w = weights.linear_elastic
+        for di, dj, ci, cj in ELASTIC_CROSS:
             ops = [o[a] if a == b else (o[4] if a > b else o[4].T) for o, a, b in zip(axis_ops, di, dj)]
-            p_i, p_j = coeffs[term.comp_i], coeffs[term.comp_j]
-            forward = _mode_products(p_j, *ops)
-            terms5 += np.asarray(term.mults) * float(np.sum(p_i * forward))
-            w = float(warr @ np.asarray(term.mults))
+            forward = _mode_products(coeffs[cj], *ops)
+            terms5[2] += float(np.sum(coeffs[ci] * forward))
             if with_gradient and w != 0.0:
-                gradient[term.comp_i] += w * forward
-                gradient[term.comp_j] += w * _mode_products(p_i, *(o.T for o in ops))
+                gradient[ci] += w * forward
+                gradient[cj] += w * _mode_products(coeffs[ci], *(o.T for o in ops))
     return PenaltyResult(value=float(warr @ terms5), terms=terms5, gradient=gradient)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bspline_core as core
+from .regularizers_analytic import REGULARIZER_NAMES
 from .volume_io import Volume
 
 # skip-boundary margins per regularizer: widest per-axis stencil half-width
@@ -114,8 +115,6 @@ class PenaltyValueBreakdown:
     value: float
 
     def breakdown(self) -> dict:
-        from .regularizers_analytic import REGULARIZER_NAMES
-
         return dict(zip(REGULARIZER_NAMES, (float(t) for t in self.terms)))
 
 
@@ -247,10 +246,6 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyValueBre
     indices); the rest stay zero. Benchmarks use this to time one regularizer
     at a time.
     """
-    from .regularizers_analytic import RegularizerWeights
-
-    if not isinstance(weights, RegularizerWeights):
-        weights = RegularizerWeights.from_array(weights)
     wanted = frozenset(range(5)) if terms is None else frozenset(int(t) for t in terms)
     axes, steps = sample_axes(grid.geometry, spec)
     for d in range(3):
@@ -288,10 +283,6 @@ def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyValueBreakdown
     in the per-axis sample spacing. It walks the cell centers of
     `SamplingSpec.per_tile` in slabs, with per-axis weights built once.
     """
-    from .regularizers_analytic import RegularizerWeights
-
-    if not isinstance(weights, RegularizerWeights):
-        weights = RegularizerWeights.from_array(weights)
     spec = SamplingSpec.per_tile(samples_per_tile)
     spt = spec.samples_per_tile
     if any(s < 2 for s in spt):

@@ -130,6 +130,9 @@ def read_volume(path) -> Volume:
     if len(payload) != count * 4:
         raise FormatError(f"truncated payload: expected {count * 4} bytes, got {len(payload)}")
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    bad = int(np.count_nonzero(~np.isfinite(data)))
+    if bad:
+        raise FormatError(f"{bad} of {count} values are not finite (NaN or infinite)")
     shape = dims if components == 1 else dims + (3,)
     return Volume(data=data.reshape(shape), spacing=spacing, origin=origin)
 
@@ -224,7 +227,9 @@ def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False)
 def _warped_planes(grid: core.ControlPointGrid, axes, ws) -> np.ndarray:
     """(3, S1, S2, S3) planes of x + v(x) on the separable grid `axes`, given
     the grid's per-axis 0th-order weight matrices `ws` at those coordinates."""
-    planes = np.stack([core._contract(grid.coefficients[c], *ws) for c in range(3)])
+    planes = np.empty((3,) + tuple(len(a) for a in axes))
+    for c in range(3):
+        planes[c] = core._contract(grid.coefficients[c], *ws)
     for d in range(3):
         planes[d] += axes[d].reshape([-1 if e == d else 1 for e in range(3)])
     return planes

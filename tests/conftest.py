@@ -25,7 +25,7 @@ def gauss_axis_weights(geometry, nodes_per_tile):
         x = (nodes + 1.0) * 0.5 * r
         quad_w = wts * 0.5 * r
         xv = np.stack([np.ones_like(x), x, x ** 2, x ** 3], axis=1)
-        axis_w.append([xv @ core.build_q(r, o).entries.T for o in range(4)])
+        axis_w.append([xv @ core.build_q(r, o).T for o in range(4)])
         axis_quadw.append(quad_w)
     return axis_w, axis_quadw
 
@@ -100,8 +100,8 @@ def direct_v_integral(tile_spacing, pair: DerivPair, nodes_per_axis=4):
         x = (nodes + 1.0) * 0.5 * r
         w = wts * 0.5 * r
         xv = np.stack([np.ones_like(x), x, x ** 2, x ** 3], axis=1)
-        qi = core.build_q(r, pair.delta_i[d]).entries
-        qj = core.build_q(r, pair.delta_j[d]).entries
+        qi = core.build_q(r, pair.delta_i[d])
+        qj = core.build_q(r, pair.delta_j[d])
         per_axis.append((xv @ qi.T, xv @ qj.T, w))  # (n,4), (n,4), (n,)
     out = np.zeros((64, 64))
     n = nodes_per_axis
@@ -126,8 +126,8 @@ def midpoint_v_integral(tile_spacing, pair: DerivPair, samples=32):
         r = float(np.asarray(tile_spacing)[d])
         x = (np.arange(samples) + 0.5) * (r / samples)
         xv = np.stack([np.ones_like(x), x, x ** 2, x ** 3], axis=1)
-        qi = core.build_q(r, pair.delta_i[d]).entries
-        qj = core.build_q(r, pair.delta_j[d]).entries
+        qi = core.build_q(r, pair.delta_i[d])
+        qj = core.build_q(r, pair.delta_j[d])
         gi = xv @ qi.T
         gj = xv @ qj.T
         per_axis.append(np.einsum("sa,sb->ab", gi, gj) * (r / samples))

@@ -155,8 +155,8 @@ def test_criterion_3_v_operator_construction():
             x = (nodes + 1.0) * 0.5 * r
             w = wts * 0.5 * r
             xv = np.stack([np.ones_like(x), x, x ** 2, x ** 3], axis=1)
-            gi = xv @ core.build_q(r, pair.delta_i[d]).entries.T
-            gj = xv @ core.build_q(r, pair.delta_j[d]).entries.T
+            gi = xv @ core.build_q(r, pair.delta_i[d]).T
+            gj = xv @ core.build_q(r, pair.delta_j[d]).T
             mats.append(np.einsum("s,sa,sb->ab", w, gi, gj))
         integrated = np.kron(np.kron(mats[0], mats[1]), mats[2])
         v = bank.get(pair)

@@ -58,20 +58,20 @@ def test_basis_rejects_bad_piece_and_order():
 def test_q_zero_order_at_origin_gives_basis_values():
     q = core.build_q(1.0, 0)
     np.testing.assert_allclose(
-        q.entries @ [1.0, 0.0, 0.0, 0.0], [1 / 6, 4 / 6, 1 / 6, 0.0], atol=1e-15
+        q @ [1.0, 0.0, 0.0, 0.0], [1 / 6, 4 / 6, 1 / 6, 0.0], atol=1e-15
     )
 
 
 def test_q_first_derivative_at_origin():
     q = core.build_q(1.0, 1)
     np.testing.assert_allclose(
-        q.entries @ [1.0, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.5, 0.0], atol=1e-15
+        q @ [1.0, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.5, 0.0], atol=1e-15
     )
 
 
 def test_q_derivative_scales_with_spacing():
-    narrow = core.build_q(1.0, 1).entries @ [1.0, 0.0, 0.0, 0.0]
-    wide = core.build_q(2.0, 1).entries @ [1.0, 0.0, 0.0, 0.0]
+    narrow = core.build_q(1.0, 1) @ [1.0, 0.0, 0.0, 0.0]
+    wide = core.build_q(2.0, 1) @ [1.0, 0.0, 0.0, 0.0]
     np.testing.assert_allclose(wide, narrow / 2.0, atol=1e-15)
 
 
@@ -83,7 +83,7 @@ def test_q_rejects_degenerate_spacing():
 
 
 def _q_curve(spacing, order, offset):
-    q = core.build_q(spacing, order).entries
+    q = core.build_q(spacing, order)
     return q @ np.array([1.0, offset, offset ** 2, offset ** 3])
 
 

@@ -281,6 +281,32 @@ def test_thread_count_resolution(monkeypatch, capsys):
         _threads._warn_bad_thread_env.cache_clear()
 
 
+def test_register_nan_volume_is_a_data_error(tmp_path, capsys):
+    fixed = vio.make_phantom("blobs", (16, 16, 16), (2.0, 2.0, 2.0), seed=5)
+    moving = vio.make_phantom("blobs", (16, 16, 16), (2.0, 2.0, 2.0), seed=6)
+    moving.data[7, 8, 9] = np.nan
+    fpath, mpath = tmp_path / "f.vol", tmp_path / "m.vol"
+    vio.write_volume(fixed, fpath)
+    vio.write_volume(moving, mpath)
+    code, _, err = run_cli(
+        capsys, "register", "--fixed", str(fpath), "--moving", str(mpath),
+        "--stage", "16:2:1", "--out-prefix", str(tmp_path / "out"),
+    )
+    assert code == 3, err
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--threads", "2"),  # no such flag there
+    ("penalty", "--grid", "g.bspg", "--threads", "0"),
+    ("penalty", "--grid", "g.bspg", "--threads", "-1"),
+])
+def test_thread_flag_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["penalty"])  # missing required --grid

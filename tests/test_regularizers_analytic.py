@@ -69,9 +69,9 @@ def test_psi_entry_against_adaptive_quadrature():
     for a in range(4):
         for b in range(4):
             val, _ = quad(
-                lambda x, a=a, b=b: core.build_q(1.0, 0).entries[a]
+                lambda x, a=a, b=b: core.build_q(1.0, 0)[a]
                 @ [1, x, x * x, x ** 3]
-                * (core.build_q(1.0, 0).entries[b] @ [1, x, x * x, x ** 3]),
+                * (core.build_q(1.0, 0)[b] @ [1, x, x * x, x ** 3]),
                 0.0,
                 1.0,
                 epsabs=1e-14,

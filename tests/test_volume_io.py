@@ -63,6 +63,16 @@ def test_volume_errors(tmp_path):
         vio.read_volume(bad_dtype)
 
 
+def test_volume_with_non_finite_values_is_rejected(tmp_path):
+    data = np.zeros((3, 4, 5))
+    data[1, 2, 3] = np.nan
+    data[2, 0, 0] = np.inf
+    path = tmp_path / "nan.vol"
+    vio.write_volume(vio.Volume(data=data, spacing=(1, 1, 1)), path)
+    with pytest.raises(vio.FormatError, match="2 of 60 values are not finite"):
+        vio.read_volume(path)
+
+
 def test_grid_round_trip(tmp_path):
     geom = core.GridGeometry((3, 2, 4), (10.0, 12.5, 8.0), origin=(0.5, -1.0, 2.0))
     rng = np.random.default_rng(2)
@@ -267,6 +277,23 @@ def test_warp_volume_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * volume, f"peak {peak / volume:.1f} volumes"
+
+
+def test_warped_voxel_centers_memory_stays_bounded():
+    """At 64^3 the (3, S1, S2, S3) result is written in place, one component's
+    contraction at a time, not stacked from three full-size temporaries."""
+    moving = vio.make_phantom("blobs", (64, 64, 64), (2.0, 2.0, 2.0), seed=21)
+    geom = vio.covering_geometry(moving, (8.0, 8.0, 8.0))
+    grid = vio.make_smooth_grid(geom, amplitude=3.0, smoothness=20.0, seed=5)
+    volume = 64 ** 3 * 8
+    vio.warped_voxel_centers(grid, moving)
+    tracemalloc.start()
+    try:
+        vio.warped_voxel_centers(grid, moving)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * volume, f"peak {peak / volume:.1f} volumes"
 
 
 def test_box_downsample():

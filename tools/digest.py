@@ -1,0 +1,80 @@
+"""Print one `name sha256` line per output group of the numeric paths. Two trees
+print the same lines exactly when these outputs are bitwise equal (at equal
+BLAS settings). Run as: PYTHONPATH=<tree>/src python tools/digest.py"""
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import splinereg as sr
+from splinereg import bspline_core as core
+from splinereg.volume_io import warped_voxel_centers
+
+GRIDS = [  # tiles, tile spacing (mm) and, off the origin, origin (mm)
+    ((3, 4, 5), (10, 12, 8)), ((1, 1, 1), (7, 5, 9)), ((1, 3, 2), (6, 10, 4), (-3, 2, 5)), ((5, 1, 2), (9, 9, 11)),
+    ((16, 16, 16), (8, 8, 8)), ((7, 9, 4), (5.5, 7, 6.25), (1.5, -2, 0.25)), ((12, 10, 8), (16, 16, 16), (-40, 0, 12))]
+WEIGHTS = [(1, 1, 1, 1, 1), (0, 1e-2, 0, 0, 0), (0, 0, 1, 0, 0), (0.3, 0.01, 2, 0.5, 1e-3), (0,) * 5]
+SHAPES = [(48, 48, 48), (64, 64, 64), (37, 38, 35), (3, 200, 200), (20, 1, 24)]
+
+
+def show(name, *items):
+    h = hashlib.sha256()
+    for item in items:  # arrays and floats by their bytes, the rest by repr
+        text = item is None or isinstance(item, (str, int))
+        h.update(repr(item).encode() if text else np.ascontiguousarray(item).tobytes())
+    print(name, h.hexdigest(), flush=True)
+
+
+def image_pair(dims):
+    """(fixed, moving): a blob phantom and its warp by a smooth field."""
+    moving = sr.make_phantom("blobs", dims, (2.0, 2.0, 2.0), seed=21)
+    truth = sr.make_smooth_grid(sr.covering_geometry(moving, (16.0,) * 3), 3.0, 20.0, seed=22)
+    return sr.warp_volume(moving, truth, moving), moving
+
+
+rng = np.random.default_rng(0)
+grids = [core.ControlPointGrid(geo, rng.normal(size=(3,) + geo.lattice_shape))
+         for geo in (core.GridGeometry(*g) for g in GRIDS)]
+weights = [sr.RegularizerWeights(*w) for w in WEIGHTS]
+serial, parallel = [], []
+for g in grids:
+    bank = sr.build_vbank(g.geometry.tile_spacing)
+    for w in weights:
+        for grad in (True, False):
+            r = sr.penalty(g, w, bank, with_gradient=grad)
+            serial += [r.value, r.terms, r.gradient]
+            for r in (sr.penalty_parallel(g, w, bank, t, with_gradient=grad) for t in (1, 2, 3)):
+                parallel += [r.value, r.terms, r.gradient]
+show("penalty", *serial)
+show("penalty_parallel", *parallel)
+bank = sr.build_vbank((10.0, 12.0, 8.0))
+show("vbank", *[str(p) for p in bank.pairs], *[bank.get(p) for p in bank.pairs])
+with tempfile.TemporaryDirectory() as tmp:
+    sr.write_vbank(bank, Path(tmp) / "bank.vbk")
+    show("vbank_file", (Path(tmp) / "bank.vbk").read_bytes())
+mse, warped, centers, fits = [], [], [], []
+for fixed, moving in map(image_pair, SHAPES):
+    geometry = sr.covering_geometry(fixed, (8.0,) * 3)
+    for g in (core.ControlPointGrid.zeros(geometry), sr.make_smooth_grid(geometry, 2.0, 20.0, 5)):
+        mse += list(sr.mse_cost_grad(fixed, moving, g))
+        warped.append(sr.warp_volume(moving, g, fixed).data)
+        centers.append(warped_voxel_centers(g, fixed))
+show("mse_cost_grad", *mse)
+show("warp_volume", *warped)
+show("warped_voxel_centers", *centers)
+for g, geo in ((g, g.geometry) for g in grids[4:]):
+    axes = [np.linspace(o, o + e, 3 * n + 2) for o, e, n in zip(geo.origin, geo.extent, geo.tile_counts)]
+    fits.append(sr.fit_grid_to_field(geo, axes, core.sample_displacement(g, axes)).coefficients)
+show("fit_grid_to_field", *fits)
+smooth = [sr.make_smooth_grid(core.GridGeometry((4, 3, 5), r), 2.0, 15.0, seed=7)
+          for r in ((8.0,) * 3, (8.0, 12.0, 10.0))]
+show("fd_penalty", *[sr.fd_penalty(g, weights[0], sr.SamplingSpec.voxel_grid(v, b)).terms for g in smooth
+                     for v in ((2.0, 2.0, 2.0), (1.0, 2.0, 2.0)) for b in ("skip-boundary", "clamp")])
+show("quadrature_penalty", *[sr.quadrature_penalty(g, weights[0], s).terms
+                             for g in smooth for s in ((8, 8, 8), (5, 6, 7))])
+stages = (sr.RegistrationStage((16.0,) * 3, 6, 1), sr.RegistrationStage((8.0,) * 3, 6, 1))
+final, histories = sr.optimize(*image_pair((32, 32, 32)), sr.RegistrationConfig(stages, weights[1]))
+show("optimize", final.coefficients, *[x for h in histories for x in
+                                       (np.array(h.costs), h.stop_reason, h.evaluations, h.iterations)])
