@@ -46,7 +46,6 @@ from .regularizers_analytic import (
     write_vbank,
 )
 from .regularizers_numeric import (
-    PenaltyValueBreakdown,
     SamplingSpec,
     dense_field,
     fd_penalty,

@@ -141,13 +141,6 @@ class ControlPointGrid:
     def zeros(cls, geometry: GridGeometry) -> "ControlPointGrid":
         return cls(geometry, np.zeros((3,) + geometry.lattice_shape))
 
-    @classmethod
-    def from_components(cls, geometry: GridGeometry, p1, p2, p3) -> "ControlPointGrid":
-        return cls(geometry, np.stack([np.asarray(p) for p in (p1, p2, p3)]))
-
-    def component(self, index: int) -> np.ndarray:
-        return self.coefficients[index]
-
     def copy(self) -> "ControlPointGrid":
         return ControlPointGrid(self.geometry, self.coefficients.copy())
 
@@ -352,17 +345,24 @@ def _contract23(partial: np.ndarray, w2: np.ndarray, w3: np.ndarray) -> np.ndarr
     return np.tensordot(out, w3, axes=(1, 1))     # (S1, S2, S3)
 
 
+def _sample_planes(grid: ControlPointGrid, ws) -> np.ndarray:
+    """(3, S1, S2, S3) displacement components on a separable sample grid,
+    given the grid's per-axis 0th-order weight matrices `ws` there."""
+    planes = np.empty((3,) + tuple(len(w) for w in ws))
+    for c in range(3):
+        planes[c] = _contract(grid.coefficients[c], *ws)
+    return planes
+
+
 def sample_displacement(grid: ControlPointGrid, axes) -> np.ndarray:
     """Displacement on the outer product of three coordinate arrays.
 
-    Returns (S1, S2, S3, 3). Fast path for dense evaluation: the sample grid
-    is separable so each axis is contracted once.
+    Returns (S1, S2, S3, 3): a view of planar (3, S1, S2, S3) storage, so each
+    component `[..., c]` is one contiguous volume. Fast path for dense
+    evaluation: the sample grid is separable so each axis is contracted once.
     """
     ws = [axis_weight_matrix(grid.geometry, d, axes[d], 0) for d in range(3)]
-    out = np.empty((len(axes[0]), len(axes[1]), len(axes[2]), 3))
-    for c in range(3):
-        out[..., c] = _contract(grid.coefficients[c], *ws)
-    return out
+    return np.moveaxis(_sample_planes(grid, ws), 0, -1)
 
 
 def sample_partial(grid: ControlPointGrid, axes, component: int, orders) -> np.ndarray:

@@ -69,11 +69,21 @@ def _add_weight_flags(p: argparse.ArgumentParser):
     )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return value
+
+    return integer
+
+
+def _float_list(text: str) -> list:
+    """argparse type: a comma-separated list of numbers."""
+    return [float(v) for v in text.split(",")]
 
 
 def _add_json_flag(p: argparse.ArgumentParser):
@@ -168,13 +178,7 @@ def cmd_compare(args) -> int:
 class BenchReport:
     """Timed runs for one benchmark configuration."""
 
-    configuration: dict
-    repeats: int
     runs: dict = field(default_factory=dict)  # label -> list of wall-times (s)
-
-    def __post_init__(self):
-        if self.repeats < 3:
-            raise ValueError(f"benchmark repeats must be >= 3, got {self.repeats}")
 
     def record(self, label: str, seconds: float):
         if seconds <= 0:
@@ -217,7 +221,7 @@ def cmd_bench(args) -> int:
         "tile_total": geometry.tile_total,
         "repeats": args.repeats,
     }
-    report = BenchReport(configuration=config, repeats=args.repeats)
+    report = BenchReport()
     rows = []
 
     _note(f"bench: {geometry.tile_total} tiles, {np.prod(dims)} voxels, {args.repeats} repeats")
@@ -288,13 +292,16 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_stage(text: str) -> reg.RegistrationStage:
-    parts = text.split(":")
-    if not parts or len(parts) > 3:
-        raise ValueError(f"stage must be 'spacing[:iterations[:downsample]]', got {text!r}")
-    spacing = float(parts[0])
-    iters = int(parts[1]) if len(parts) > 1 else 100
-    down = int(parts[2]) if len(parts) > 2 else 1
-    return reg.RegistrationStage((spacing,) * 3, iters, down)
+    """argparse type: 'spacing[:iterations[:downsample]]'."""
+    spacing, *counts = text.split(":")
+    try:
+        if len(counts) > 2:
+            raise ValueError("more than three fields")
+        return reg.RegistrationStage((float(spacing),) * 3, *(int(v) for v in counts))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"stage must be 'spacing[:iterations[:downsample]]', got {text!r}: {exc}"
+        ) from None
 
 
 def _run_registration(fixed, moving, config, args) -> dict:
@@ -326,7 +333,7 @@ def _run_registration(fixed, moving, config, args) -> dict:
 def cmd_register(args) -> int:
     fixed = vio.read_volume(args.fixed)
     moving = vio.read_volume(args.moving)
-    stages = tuple(_parse_stage(s) for s in args.stage) if args.stage else (
+    stages = tuple(args.stage) if args.stage else (
         reg.RegistrationStage((20.0,) * 3, 60, 2),
         reg.RegistrationStage((10.0,) * 3, 60, 1),
     )
@@ -336,11 +343,7 @@ def cmd_register(args) -> int:
         step_tolerance=args.step_tolerance,
     )
 
-    sweep = [None]
-    if args.sweep_weights:
-        if not args.sweep_regularizer:
-            raise ValueError("--sweep-weights requires --sweep-regularizer")
-        sweep = [float(w) for w in args.sweep_weights.split(",")]
+    sweep = args.sweep_weights or [None]
 
     rows = []
     for sweep_value in sweep:
@@ -490,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", choices=("skip-boundary", "clamp"), default="skip-boundary")
     p.add_argument("--dump-vbank", metavar="PATH", help="also export the V bank (VBANK1)")
     p.add_argument("--dump-gradient", metavar="PATH", help="write the penalty gradient (BSPG1)")
-    p.add_argument("--threads", type=_positive_int, default=None,
+    p.add_argument("--threads", type=_int_at_least(1), default=None,
                    help="worker threads (flag beats env)")
     _add_weight_flags(p)
     _add_json_flag(p)
@@ -510,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("S1", "S2", "S3"))
     p.add_argument("--grid-spacing", type=float, nargs=3, default=(32.0, 32.0, 32.0),
                    metavar=("R1", "R2", "R3"))
-    p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--thread-list", type=int, nargs="*", default=None,
+    p.add_argument("--repeats", type=_int_at_least(3), default=20, help="timed runs, at least 3")
+    p.add_argument("--thread-list", type=_int_at_least(1), nargs="*", default=None,
                    help="thread counts for the scaling sweep")
     p.add_argument("--skip-numeric", action="store_true", help="only run analytic timings")
     _add_seed_flag(p)
@@ -521,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register", help="MSE + penalty registration of two volumes")
     p.add_argument("--fixed", required=True)
     p.add_argument("--moving", required=True)
-    p.add_argument("--stage", action="append",
+    p.add_argument("--stage", action="append", type=_parse_stage,
                    help="'spacing[:iterations[:downsample]]', repeat coarse to fine")
     p.add_argument("--out-prefix", default="registered")
     p.add_argument("--landmarks-fixed", help="landmarks in the fixed frame (mm)")
@@ -529,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history-size", type=int, default=10)
     p.add_argument("--gradient-tolerance", type=float, default=1e-4)
     p.add_argument("--step-tolerance", type=float, default=1e-9)
-    p.add_argument("--sweep-weights", help="comma list of weights to sweep, one run each")
+    p.add_argument("--sweep-weights", type=_float_list,
+                   help="comma list of weights to sweep, one run each")
     p.add_argument("--sweep-regularizer", choices=analytic.REGULARIZER_NAMES,
                    help="which weight --sweep-weights varies")
     _add_weight_flags(p)
@@ -599,6 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "sweep_weights", None) and not args.sweep_regularizer:
+        parser.error("--sweep-weights requires --sweep-regularizer")
     try:
         return args.func(args)
     except (vio.FormatError, OSError, ValueError, IndexError) as exc:

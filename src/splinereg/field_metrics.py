@@ -31,7 +31,7 @@ class LandmarkSet:
         return LandmarkSet(points=self.points[np.asarray(mask)], label=self.label)
 
 
-def read_landmarks(path, label: str = "") -> LandmarkSet:
+def read_landmarks(path) -> LandmarkSet:
     """Plain-text landmarks: one 'x y z' line per point, '#' starts a comment."""
     pts = []
     with open(path) as fh:
@@ -43,7 +43,7 @@ def read_landmarks(path, label: str = "") -> LandmarkSet:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
             pts.append([float(v) for v in parts])
-    return LandmarkSet(points=np.array(pts).reshape(-1, 3), label=label)
+    return LandmarkSet(points=np.array(pts).reshape(-1, 3))
 
 
 def write_landmarks(landmarks: LandmarkSet, path):

@@ -226,7 +226,7 @@ class PenaltyResult:
 
     value: float
     terms: np.ndarray  # (5,) unweighted S1..S5
-    gradient: np.ndarray | None  # (3, P1, P2, P3) gradient of the weighted value
+    gradient: np.ndarray | None  # (3, P1, P2, P3) gradient of the weighted value, if computed
 
     def breakdown(self) -> dict:
         return dict(zip(REGULARIZER_NAMES, (float(t) for t in self.terms)))
@@ -411,26 +411,18 @@ def write_vbank(bank: VMatrixBank, path):
 
 
 def read_vbank(path) -> VMatrixBank:
-    from .volume_io import FormatError, _read_header_line  # shared header plumbing
+    from .volume_io import FormatError, _header_fields, _read_header_line  # shared header plumbing
 
     with open(path, "rb") as fh:
         magic = _read_header_line(fh)
         if magic != "VBANK1":
             raise FormatError(f"not a VBANK1 file (magic {magic!r})")
-        spacing_line = _read_header_line(fh).split()
-        if len(spacing_line) != 4 or spacing_line[0] != "spacing":
-            raise FormatError("malformed VBANK1 spacing line")
-        spacing = tuple(float(v) for v in spacing_line[1:])
-        count_line = _read_header_line(fh).split()
-        if len(count_line) != 2 or count_line[0] != "pairs":
-            raise FormatError("malformed VBANK1 pairs line")
-        count = int(count_line[1])
+        spacing = tuple(float(v) for v in _header_fields(_read_header_line(fh), "spacing", 3))
+        count = int(_header_fields(_read_header_line(fh), "pairs", 1)[0])
         pairs = []
         for _ in range(count):
-            fields = _read_header_line(fh).split()
-            if len(fields) != 3 or fields[0] != "pair":
-                raise FormatError("malformed VBANK1 pair line")
-            pairs.append(DerivPair(_parse_delta(fields[1]), _parse_delta(fields[2])))
+            di, dj = _header_fields(_read_header_line(fh), "pair", 2)
+            pairs.append(DerivPair(_parse_delta(di), _parse_delta(dj)))
         payload = fh.read()
     expected = count * 64 * 64 * 8
     if len(payload) != expected:

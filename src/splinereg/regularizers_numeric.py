@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bspline_core as core
-from .regularizers_analytic import REGULARIZER_NAMES
+from .regularizers_analytic import PenaltyResult
 from .volume_io import Volume
 
 # skip-boundary margins per regularizer: widest per-axis stencil half-width
@@ -105,17 +105,6 @@ def dense_field(grid: core.ControlPointGrid, spec: SamplingSpec) -> Volume:
     data = core.sample_displacement(grid, axes)
     origin = tuple(float(a[0]) for a in axes)
     return Volume(data=data, spacing=steps, origin=origin)
-
-
-@dataclass
-class PenaltyValueBreakdown:
-    """Unweighted S1..S5 values and the weighted total."""
-
-    terms: np.ndarray  # (5,)
-    value: float
-
-    def breakdown(self) -> dict:
-        return dict(zip(REGULARIZER_NAMES, (float(t) for t in self.terms)))
 
 
 def _central1(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -234,13 +223,15 @@ def _penalty_sums(wanted, regions, derivatives) -> np.ndarray:
     return out
 
 
-def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyValueBreakdown:
+def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
     """Finite-difference penalties over a dense sampling of the field.
 
-    With skip-boundary, each regularizer sums only samples whose stencils stay
-    inside the block; with clamp, the block is edge-padded first so every
-    sample contributes. Requires at least 4 samples per tile per axis so the
-    stencils resolve the piecewise-cubic structure.
+    Each displacement component is sampled as one contiguous volume in turn
+    and differentiated by central stencils. With skip-boundary, each
+    regularizer sums only samples whose stencils stay inside the block; with
+    clamp, the component's block is edge-padded by 2 first so every sample
+    contributes. Requires at least 4 samples per tile per axis so the stencils
+    resolve the piecewise-cubic structure. The result has no gradient.
 
     `terms` optionally restricts which of S1..S5 are computed (0-based
     indices); the rest stay zero. Benchmarks use this to time one regularizer
@@ -254,34 +245,36 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyValueBre
             raise ValueError(
                 f"insufficient sampling: {per_tile:.2f} samples per tile on axis {d + 1}, need >= 4"
             )
-    field = core.sample_displacement(grid, axes)
 
     clamp = spec.boundary_policy == "clamp"
-    if clamp:
-        field = np.pad(field, ((2, 2), (2, 2), (2, 2), (0, 0)), mode="edge")
-
-    cell = float(np.prod(steps))
+    shape = tuple(len(a) for a in axes)
 
     def region(margin: int):
         if clamp:
             return (slice(2, -2),) * 3  # padding absorbs the stencil margin
-        return _interior(field.shape[:3], margin)
+        return _interior(shape, margin)
 
     regions = {n: region(_REG_MARGINS[n]) for n in wanted}
-    out = _penalty_sums(
-        wanted, regions, lambda c, deltas: _fd_derivatives(field[..., c], deltas, steps)
-    )
-    out *= cell
-    return PenaltyValueBreakdown(terms=out, value=float(weights.as_array() @ out))
+
+    def derivatives(c, deltas):
+        samples = core.sample_partial(grid, axes, c + 1, (0, 0, 0))
+        if clamp:
+            samples = np.pad(samples, 2, mode="edge")
+        return _fd_derivatives(samples, deltas, steps)
+
+    out = _penalty_sums(wanted, regions, derivatives)
+    out *= float(np.prod(steps))
+    return PenaltyResult(value=float(weights.as_array() @ out), terms=out, gradient=None)
 
 
-def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyValueBreakdown:
+def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyResult:
     """Midpoint-rule penalties using exact basis derivatives at the samples.
 
     The integrand values are exact; only the integration is approximate, which
     makes this the reference oracle for the closed-form path. Converges O(h^2)
     in the per-axis sample spacing. It walks the cell centers of
-    `SamplingSpec.per_tile` in slabs, with per-axis weights built once.
+    `SamplingSpec.per_tile` in slabs, with per-axis weights built once. The
+    result has no gradient.
     """
     spec = SamplingSpec.per_tile(samples_per_tile)
     spt = spec.samples_per_tile
@@ -301,4 +294,4 @@ def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyValueBreakdown
 
         terms += _penalty_sums(range(5), everything, derivatives)
     terms *= float(np.prod(geometry.tile_spacing)) / float(np.prod(spt))
-    return PenaltyValueBreakdown(terms=terms, value=float(weights.as_array() @ terms))
+    return PenaltyResult(value=float(weights.as_array() @ terms), terms=terms, gradient=None)

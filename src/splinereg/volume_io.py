@@ -227,9 +227,7 @@ def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False)
 def _warped_planes(grid: core.ControlPointGrid, axes, ws) -> np.ndarray:
     """(3, S1, S2, S3) planes of x + v(x) on the separable grid `axes`, given
     the grid's per-axis 0th-order weight matrices `ws` at those coordinates."""
-    planes = np.empty((3,) + tuple(len(a) for a in axes))
-    for c in range(3):
-        planes[c] = core._contract(grid.coefficients[c], *ws)
+    planes = core._sample_planes(grid, ws)
     for d in range(3):
         planes[d] += axes[d].reshape([-1 if e == d else 1 for e in range(3)])
     return planes
@@ -271,16 +269,13 @@ def box_downsample(volume: Volume, factor: int) -> Volume:
     return Volume(data=data, spacing=spacing, origin=origin)
 
 
-def covering_geometry(volume: Volume, tile_spacing, origin=None) -> core.GridGeometry:
-    """Smallest grid with the given tile spacing whose extent covers every voxel center."""
+def covering_geometry(volume: Volume, tile_spacing) -> core.GridGeometry:
+    """Smallest grid with the given tile spacing whose extent, from the first
+    voxel center, covers every voxel center."""
     spacing = core._triple(tile_spacing, "tile_spacing")
-    base = volume.origin if origin is None else core._triple(origin, "origin")
     span = volume.center_span()
-    counts = []
-    for d in range(3):
-        needed = volume.origin[d] + span[d] - base[d]
-        counts.append(max(1, int(np.ceil(needed / spacing[d] - 1e-9))))
-    return core.GridGeometry(tuple(counts), spacing, base)
+    counts = tuple(max(1, int(np.ceil(span[d] / spacing[d] - 1e-9))) for d in range(3))
+    return core.GridGeometry(counts, spacing, volume.origin)
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +369,23 @@ def make_smooth_grid(
     return core.ControlPointGrid(geometry, coeffs)
 
 
+_FIELD_DRAWS = 20  # fold-free draws tried by make_ground_truth_field
+
+
 def make_ground_truth_field(
     geometry: core.GridGeometry,
     amplitude: float,
     smoothness: float,
     seed: int = 0,
     n_landmarks: int = 300,
-    edge_taper: bool = True,
-    max_attempts: int = 20,
 ):
     """Smooth random displacement field with a fold-free guarantee, plus paired
     landmarks: random fixed points and their exact warps through the field.
 
-    Returns (grid, fixed_landmarks, warped_landmarks). Draws are rejected until
-    the minimum Jacobian determinant is positive; the amplitude must stay below
-    a third of the smoothness scale or rejection rarely terminates.
+    Returns (grid, fixed_landmarks, warped_landmarks). Edge-tapered draws
+    (`make_smooth_grid`) are rejected until the minimum Jacobian determinant is
+    positive, at most `_FIELD_DRAWS` times; the amplitude must stay below a
+    third of the smoothness scale or rejection rarely terminates.
     """
     from .field_metrics import LandmarkSet, jacobian_map, warp_landmarks
     from .regularizers_numeric import SamplingSpec
@@ -403,8 +400,8 @@ def make_ground_truth_field(
 
     spec = SamplingSpec.per_tile((4, 4, 4))
     grid = None
-    for attempt in range(max_attempts):
-        candidate = make_smooth_grid(geometry, amplitude, smoothness, seed + attempt, edge_taper)
+    for attempt in range(_FIELD_DRAWS):
+        candidate = make_smooth_grid(geometry, amplitude, smoothness, seed + attempt)
         if amplitude == 0.0:
             grid = candidate
             break
@@ -414,7 +411,7 @@ def make_ground_truth_field(
             break
     if grid is None:
         raise RuntimeError(
-            f"could not draw a fold-free field in {max_attempts} attempts "
+            f"could not draw a fold-free field in {_FIELD_DRAWS} attempts "
             f"(amplitude {amplitude}, smoothness {smoothness})"
         )
 

@@ -389,6 +389,19 @@ def test_sample_displacement_matches_pointwise():
                 )
 
 
+def test_sample_displacement_components_are_contiguous_planes():
+    """Each component of the (S1, S2, S3, 3) result is one C-contiguous
+    volume, bitwise equal to that component sampled on its own."""
+    grid = random_grid((3, 2, 4), (9.0, 13.0, 7.5), seed=18, origin=(-6.0, 2.5, 11.0))
+    geom = grid.geometry
+    axes = [o + np.linspace(0.3, e - 0.7, n) for o, e, n in zip(geom.origin, geom.extent, (11, 6, 17))]
+    sampled = core.sample_displacement(grid, axes)
+    assert sampled.shape == (11, 6, 17, 3)
+    for c in range(3):
+        assert sampled[..., c].flags.c_contiguous
+        np.testing.assert_array_equal(sampled[..., c], core.sample_partial(grid, axes, c + 1, (0, 0, 0)))
+
+
 def test_sample_partial_matches_pointwise():
     grid = random_grid((3, 3, 3), (10.0, 11.0, 12.0), seed=16)
     axes = [np.linspace(1.0, grid.geometry.extent[d] - 1.0, 5) for d in range(3)]

@@ -300,6 +300,15 @@ def test_register_nan_volume_is_a_data_error(tmp_path, capsys):
     ("register", "--fixed", "f.vol", "--moving", "m.vol", "--threads", "2"),  # no such flag there
     ("penalty", "--grid", "g.bspg", "--threads", "0"),
     ("penalty", "--grid", "g.bspg", "--threads", "-1"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--stage", "16:x"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--stage", "0:2"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--stage", "16:2:1:1"),
+    # the files do not exist: a sweep without its regularizer fails before reading them
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--sweep-weights", "1e-3"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--sweep-weights", "1e-3,x",
+     "--sweep-regularizer", "curvature"),
+    ("bench", "--repeats", "2"),
+    ("bench", "--thread-list", "0"),
 ])
 def test_thread_flag_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:

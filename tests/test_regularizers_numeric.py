@@ -186,6 +186,52 @@ def test_fd_penalty_matches_explicit_ordered_sums():
     np.testing.assert_allclose(got, _ordered_sum_reference(grid, spec), rtol=1e-12)
 
 
+def _interleaved_fd_terms(grid, spec, terms):
+    """fd_penalty as formulated on the interleaved (S1, S2, S3, 3) field,
+    padded as one 4-D array under clamp and differentiated on stride-3 views."""
+    wanted = frozenset(terms)
+    axes, steps = rn.sample_axes(grid.geometry, spec)
+    field = np.ascontiguousarray(core.sample_displacement(grid, axes))
+    clamp = spec.boundary_policy == "clamp"
+    if clamp:
+        field = np.pad(field, ((2, 2), (2, 2), (2, 2), (0, 0)), mode="edge")
+    regions = {n: (slice(2, -2),) * 3 if clamp else rn._interior(field.shape[:3], rn._REG_MARGINS[n])
+               for n in wanted}
+    out = rn._penalty_sums(
+        wanted, regions, lambda c, deltas: rn._fd_derivatives(field[..., c], deltas, steps)
+    )
+    return out * float(np.prod(steps))
+
+
+@pytest.mark.parametrize("policy", ["skip-boundary", "clamp"])
+def test_fd_penalty_bitwise_equals_interleaved_formulation(policy):
+    """Sampling one contiguous component at a time moves no bit against the
+    interleaved whole-field formulation, for all terms and each term alone."""
+    grid = random_grid((3, 2, 4), (12.0, 10.0, 9.0), seed=9, origin=(-3.0, 4.0, 0.5))
+    spec = rn.SamplingSpec.voxel_grid((2.0, 2.5, 1.5), policy)
+    for terms in [range(5)] + [[n] for n in range(5)]:
+        got = rn.fd_penalty(grid, NO_WEIGHTS, spec, terms=terms)
+        assert got.gradient is None
+        np.testing.assert_array_equal(got.terms, _interleaved_fd_terms(grid, spec, terms))
+
+
+@pytest.mark.parametrize("policy, bound", [("skip-boundary", 8.5), ("clamp", 10.0)])
+def test_fd_penalty_memory_stays_bounded(policy, bound):
+    """All five terms at 64^3 samples hold one component's samples, the walk's
+    few derivative volumes and the three diagonal first derivatives of S3,
+    not the whole three-component field (10.0 and 12.0 volumes when it was)."""
+    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
+    spec = rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), policy)
+    volume = 64 ** 3 * 8
+    tracemalloc.start()
+    try:
+        rn.fd_penalty(grid, NO_WEIGHTS, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * volume, f"peak {peak / volume:.2f} volumes"
+
+
 def test_fd_penalty_third_order_memory_stays_bounded():
     """The third-order sum at 64^3 samples holds the sampled field plus a few
     derivative volumes at a time, not one volume per distinct derivative."""

@@ -64,6 +64,10 @@ for fixed, moving in map(image_pair, SHAPES):
 show("mse_cost_grad", *mse)
 show("warp_volume", *warped)
 show("warped_voxel_centers", *centers)
+off_knot = [[np.linspace(o + 0.31 * r, o + e - 0.53 * r, 2 * n + 3)  # no sample on a knot
+             for o, e, r, n in zip(geo.origin, geo.extent, geo.tile_spacing, geo.tile_counts)]
+            for geo in (g.geometry for g in grids)]
+show("sample_displacement", *[core.sample_displacement(g, axes) for g, axes in zip(grids, off_knot)])
 for g, geo in ((g, g.geometry) for g in grids[4:]):
     axes = [np.linspace(o, o + e, 3 * n + 2) for o, e, n in zip(geo.origin, geo.extent, geo.tile_counts)]
     fits.append(sr.fit_grid_to_field(geo, axes, core.sample_displacement(g, axes)).coefficients)
@@ -72,6 +76,12 @@ smooth = [sr.make_smooth_grid(core.GridGeometry((4, 3, 5), r), 2.0, 15.0, seed=7
           for r in ((8.0,) * 3, (8.0, 12.0, 10.0))]
 show("fd_penalty", *[sr.fd_penalty(g, weights[0], sr.SamplingSpec.voxel_grid(v, b)).terms for g in smooth
                      for v in ((2.0, 2.0, 2.0), (1.0, 2.0, 2.0)) for b in ("skip-boundary", "clamp")])
+show("fd_penalty_single_term", *[sr.fd_penalty(g, weights[0], sr.SamplingSpec.voxel_grid((1.0, 2.0, 2.0), b),
+                                                terms=[n]).terms
+                                 for g in smooth for b in ("skip-boundary", "clamp") for n in range(5)])
+fields = [sr.dense_field(g, s) for g in smooth
+          for s in (sr.SamplingSpec.voxel_grid((2.0, 2.5, 1.5)), sr.SamplingSpec.per_tile((5, 4, 6)))]
+show("dense_field", *[x for v in fields for x in (v.data, v.spacing, v.origin)])
 show("quadrature_penalty", *[sr.quadrature_penalty(g, weights[0], s).terms
                              for g in smooth for s in ((8, 8, 8), (5, 6, 7))])
 stages = (sr.RegistrationStage((16.0,) * 3, 6, 1), sr.RegistrationStage((8.0,) * 3, 6, 1))
