@@ -60,12 +60,12 @@ def _weights_from_args(args) -> analytic.RegularizerWeights:
 
 
 def _add_weight_flags(p: argparse.ArgumentParser):
-    p.add_argument("--diffusion", type=float, default=0.0, help="weight mu1")
-    p.add_argument("--curvature", type=float, default=0.0, help="weight mu2")
-    p.add_argument("--linear-elastic", dest="linear_elastic", type=float, default=0.0, help="weight mu3")
-    p.add_argument("--third-order", dest="third_order", type=float, default=0.0, help="weight mu4")
+    p.add_argument("--diffusion", type=_weight, default=0.0, help="weight mu1")
+    p.add_argument("--curvature", type=_weight, default=0.0, help="weight mu2")
+    p.add_argument("--linear-elastic", dest="linear_elastic", type=_weight, default=0.0, help="weight mu3")
+    p.add_argument("--third-order", dest="third_order", type=_weight, default=0.0, help="weight mu4")
     p.add_argument(
-        "--total-displacement", dest="total_displacement", type=float, default=0.0, help="weight mu5"
+        "--total-displacement", dest="total_displacement", type=_weight, default=0.0, help="weight mu5"
     )
 
 
@@ -81,9 +81,25 @@ def _int_at_least(low: int):
     return integer
 
 
-def _float_list(text: str) -> list:
-    """argparse type: a comma-separated list of numbers."""
-    return [float(v) for v in text.split(",")]
+def _weight(text: str) -> float:
+    """argparse type: a finite number >= 0."""
+    value = float(text)
+    if not np.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+def _spacing(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    value = float(text)
+    if not np.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+def _weight_list(text: str) -> list:
+    """argparse type: a comma-separated list of weights."""
+    return [_weight(v) for v in text.split(",")]
 
 
 def _add_json_flag(p: argparse.ArgumentParser):
@@ -487,9 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("penalty", help="evaluate the smoothness penalty of a coefficient grid")
     p.add_argument("--grid", required=True, help="BSPG1 coefficient file")
     p.add_argument("--method", choices=("analytic", "numeric", "quadrature"), default="analytic")
-    p.add_argument("--voxel-spacing", type=float, nargs=3, default=(2.0, 2.0, 2.0),
+    p.add_argument("--voxel-spacing", type=_spacing, nargs=3, default=(2.0, 2.0, 2.0),
                    metavar=("S1", "S2", "S3"), help="sample spacing for --method numeric")
-    p.add_argument("--samples-per-tile", type=int, default=16, help="for --method quadrature")
+    p.add_argument("--samples-per-tile", type=_int_at_least(2), default=16,
+                   help="for --method quadrature")
     p.add_argument("--boundary", choices=("skip-boundary", "clamp"), default="skip-boundary")
     p.add_argument("--dump-vbank", metavar="PATH", help="also export the V bank (VBANK1)")
     p.add_argument("--dump-gradient", metavar="PATH", help="write the penalty gradient (BSPG1)")
@@ -501,17 +518,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="analytic vs finite-difference values per regularizer")
     p.add_argument("--grid", required=True)
-    p.add_argument("--voxel-spacing", type=float, nargs=3, default=(2.0, 2.0, 2.0),
+    p.add_argument("--voxel-spacing", type=_spacing, nargs=3, default=(2.0, 2.0, 2.0),
                    metavar=("S1", "S2", "S3"))
     p.add_argument("--boundary", choices=("skip-boundary", "clamp"), default="skip-boundary")
     _add_json_flag(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="time analytic vs numeric penalties and thread scaling")
-    p.add_argument("--dims", type=int, nargs=3, default=(128, 128, 128), metavar=("D1", "D2", "D3"))
-    p.add_argument("--voxel-spacing", type=float, nargs=3, default=(2.0, 2.0, 2.0),
+    p.add_argument("--dims", type=_int_at_least(1), nargs=3, default=(128, 128, 128),
+                   metavar=("D1", "D2", "D3"))
+    p.add_argument("--voxel-spacing", type=_spacing, nargs=3, default=(2.0, 2.0, 2.0),
                    metavar=("S1", "S2", "S3"))
-    p.add_argument("--grid-spacing", type=float, nargs=3, default=(32.0, 32.0, 32.0),
+    p.add_argument("--grid-spacing", type=_spacing, nargs=3, default=(32.0, 32.0, 32.0),
                    metavar=("R1", "R2", "R3"))
     p.add_argument("--repeats", type=_int_at_least(3), default=20, help="timed runs, at least 3")
     p.add_argument("--thread-list", type=_int_at_least(1), nargs="*", default=None,
@@ -529,10 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", default="registered")
     p.add_argument("--landmarks-fixed", help="landmarks in the fixed frame (mm)")
     p.add_argument("--landmarks-moving", help="true corresponding points in the moving frame (mm)")
-    p.add_argument("--history-size", type=int, default=10)
+    p.add_argument("--history-size", type=_int_at_least(1), default=10)
     p.add_argument("--gradient-tolerance", type=float, default=1e-4)
     p.add_argument("--step-tolerance", type=float, default=1e-9)
-    p.add_argument("--sweep-weights", type=_float_list,
+    p.add_argument("--sweep-weights", type=_weight_list,
                    help="comma list of weights to sweep, one run each")
     p.add_argument("--sweep-regularizer", choices=analytic.REGULARIZER_NAMES,
                    help="which weight --sweep-weights varies")
@@ -544,12 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True)
     p.add_argument("--landmarks-a", help="landmarks to warp through the field")
     p.add_argument("--landmarks-b", help="reference landmarks to compare against")
-    p.add_argument("--landmark-voxel-spacing", type=float, nargs=3, default=None,
+    p.add_argument("--landmark-voxel-spacing", type=_spacing, nargs=3, default=None,
                    metavar=("S1", "S2", "S3"),
                    help="treat landmark coordinates as voxel indices with this spacing")
     p.add_argument("--landmark-origin", type=float, nargs=3, default=(0.0, 0.0, 0.0),
                    metavar=("O1", "O2", "O3"))
-    p.add_argument("--jacobian-samples", type=int, default=4, help="samples per tile per axis")
+    p.add_argument("--jacobian-samples", type=_int_at_least(1), default=4,
+                   help="samples per tile per axis")
     _add_json_flag(p)
     p.set_defaults(func=cmd_metrics)
 
@@ -558,8 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = synth_sub.add_parser("phantom", help="synthetic test image")
     sp.add_argument("--kind", choices=("blobs", "gradient", "checker"), default="blobs")
-    sp.add_argument("--dims", type=int, nargs=3, default=(64, 64, 64), metavar=("D1", "D2", "D3"))
-    sp.add_argument("--voxel-spacing", type=float, nargs=3, default=(2.0, 2.0, 2.0),
+    sp.add_argument("--dims", type=_int_at_least(1), nargs=3, default=(64, 64, 64),
+                    metavar=("D1", "D2", "D3"))
+    sp.add_argument("--voxel-spacing", type=_spacing, nargs=3, default=(2.0, 2.0, 2.0),
                     metavar=("S1", "S2", "S3"))
     sp.add_argument("--out", required=True)
     _add_seed_flag(sp)
@@ -567,20 +587,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_synth_phantom)
 
     sp = synth_sub.add_parser("field", help="ground-truth field plus landmark pair")
-    sp.add_argument("--tiles", type=int, nargs=3, default=(8, 8, 8), metavar=("N1", "N2", "N3"))
-    sp.add_argument("--grid-spacing", type=float, nargs=3, default=(16.0, 16.0, 16.0),
+    sp.add_argument("--tiles", type=_int_at_least(1), nargs=3, default=(8, 8, 8),
+                    metavar=("N1", "N2", "N3"))
+    sp.add_argument("--grid-spacing", type=_spacing, nargs=3, default=(16.0, 16.0, 16.0),
                     metavar=("R1", "R2", "R3"))
     sp.add_argument("--amplitude", type=float, default=4.0, help="peak displacement (mm)")
     sp.add_argument("--smoothness", type=float, default=30.0, help="correlation scale (mm)")
-    sp.add_argument("--landmarks", type=int, default=300)
+    sp.add_argument("--landmarks", type=_int_at_least(0), default=300)
     sp.add_argument("--out-prefix", dest="out_prefix", default="field")
     _add_seed_flag(sp)
     _add_json_flag(sp)
     sp.set_defaults(func=cmd_synth_field)
 
     sp = synth_sub.add_parser("grid", help="random coefficient grid")
-    sp.add_argument("--tiles", type=int, nargs=3, default=(4, 4, 4), metavar=("N1", "N2", "N3"))
-    sp.add_argument("--grid-spacing", type=float, nargs=3, default=(10.0, 10.0, 10.0),
+    sp.add_argument("--tiles", type=_int_at_least(1), nargs=3, default=(4, 4, 4),
+                    metavar=("N1", "N2", "N3"))
+    sp.add_argument("--grid-spacing", type=_spacing, nargs=3, default=(10.0, 10.0, 10.0),
                     metavar=("R1", "R2", "R3"))
     sp.add_argument("--amplitude", type=float, default=1.0)
     sp.add_argument("--smoothness", type=float, default=0.0,
@@ -592,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_synth_grid)
 
     p = sub.add_parser("vbank", help="build and export the 23 integrated tile operators")
-    p.add_argument("--spacing", type=float, nargs=3, required=True, metavar=("R1", "R2", "R3"))
+    p.add_argument("--spacing", type=_spacing, nargs=3, required=True, metavar=("R1", "R2", "R3"))
     p.add_argument("--out", required=True)
     _add_json_flag(p)
     p.set_defaults(func=cmd_vbank)

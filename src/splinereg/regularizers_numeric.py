@@ -8,6 +8,18 @@ exact (separable contractions with basis-derivative weights), so only the
 midpoint integration is approximate and the error shrinks as O(h^2) toward
 the closed-form values.
 
+`fd_penalty` samples each displacement component whole, but no derivative of
+it is ever a whole volume (except the three that S3 multiplies pairwise): each
+is taken over cache-sized slabs of rows (`core._slabs`) by stencils that run as
+one contiguous ufunc pass over the C-order flat samples, at the flat offset of
+one step along their axis. Such a stencil wraps round at the faces normal to
+its axis, so its entries within its half-width of those faces (two samples for
+a third difference, one otherwise) are garbage; the margin that skip-boundary
+drops, or the edge padding under clamp, keeps them out of every sum. Each
+slab's squares land in one interior-shaped buffer that is summed whole, so
+every term is bitwise equal to the sum over the interior of the whole-volume
+derivative.
+
 Both compute the same five penalty definitions as the analytic module, written
 here as the ordered sums over components and derivative directions so the
 analytic multiplicity bookkeeping is checked rather than shared: both count
@@ -18,6 +30,7 @@ each distinct derivative's multiplicity from the ordered direction tuples
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +39,7 @@ from . import bspline_core as core
 from .regularizers_analytic import PenaltyResult
 from .volume_io import Volume
 
-# skip-boundary margins per regularizer: widest per-axis stencil half-width
-# among that regularizer's derivative stencils (third order composes a
-# second-difference with a central first difference, half-width 2).
-_REG_MARGINS = (1, 1, 1, 2, 0)  # S1..S5
+_ORDERS = (1, 2, 1, 3, 0)  # derivative order that S1..S5 square
 
 
 @dataclass(frozen=True)
@@ -108,63 +118,74 @@ def dense_field(grid: core.ControlPointGrid, spec: SamplingSpec) -> Volume:
 
 
 def _central1(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = np.zeros_like(arr)
-    mid = [slice(None)] * 3
-    hi = [slice(None)] * 3
-    lo = [slice(None)] * 3
-    mid[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(None, -2)
-    out[tuple(mid)] = (arr[tuple(hi)] - arr[tuple(lo)]) / (2.0 * h)
-    return out
+    """First central difference along `axis`, as one contiguous ufunc pass.
+
+    The stencil runs on the C-order flat samples with the flat offset k of one
+    step along `axis`, so an entry on a face normal to `axis` takes its
+    neighbours from the adjacent row: entries within one sample of those faces
+    are garbage (finite; the first and last k flat entries are 0).
+    """
+    a = np.ravel(arr)
+    k = math.prod(arr.shape[axis + 1:])
+    out = np.empty_like(a)
+    mid = out[k:-k]
+    np.subtract(a[2 * k:], a[:-2 * k], out=mid)
+    np.divide(mid, 2.0 * h, out=mid)
+    out[:k] = out[-k:] = 0.0
+    return out.reshape(arr.shape)
+
 
 def _central2(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = np.zeros_like(arr)
-    mid = [slice(None)] * 3
-    hi = [slice(None)] * 3
-    lo = [slice(None)] * 3
-    mid[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(None, -2)
-    out[tuple(mid)] = (arr[tuple(hi)] - 2.0 * arr[tuple(mid)] + arr[tuple(lo)]) / (h * h)
-    return out
+    """Second central difference along `axis`, flat and with garbage margins as
+    `_central1`. The steps keep the order of (hi - 2 mid + lo) / h^2."""
+    a = np.ravel(arr)
+    k = math.prod(arr.shape[axis + 1:])
+    out = np.empty_like(a)
+    mid = out[k:-k]
+    np.multiply(a[k:-k], 2.0, out=mid)
+    np.subtract(a[2 * k:], mid, out=mid)
+    np.add(mid, a[:-2 * k], out=mid)
+    np.divide(mid, h * h, out=mid)
+    out[:k] = out[-k:] = 0.0
+    return out.reshape(arr.shape)
 
 
-def _fd_derivatives(samples: np.ndarray, deltas, steps):
-    """Yield (delta, volume) for every wanted derivative multi-index.
+def _derivative(arr: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
+    """The order-th central difference along `axis` (order 0 returns `arr`).
 
-    Each derivative is the tensor-product central stencil applied along axes
-    0, 1, 2 in turn; third order along an axis nests a central first
-    difference over the standard second difference (half-width 2, error
-    O(h^2)). The walk is depth first over the axes, so a partial derivative
-    shared by several multi-indices is taken once and at most a few volumes
-    are alive at any time. Entries inside the stencil margin of the block edge
-    are garbage and must be excluded by the caller; that margin is what
-    skip-boundary drops.
+    Third order nests a first difference over the second difference, so its
+    garbage margin is 2 samples wide; the others' is (order + 1) // 2.
     """
+    if order == 0:
+        return arr
+    if order == 1:
+        return _central1(arr, axis, h)
+    second = _central2(arr, axis, h)
+    return second if order == 2 else _central1(second, axis, h)
 
-    def walk(arr, axis, prefix):
-        if axis == 3:
-            yield prefix, arr
-            return
-        orders = sorted({d[axis] for d in deltas if d[:axis] == prefix})
-        second = None
-        for o in orders:
-            if o == 0:
-                out = arr
-            elif o == 1:
-                out = _central1(arr, axis, steps[axis])
-            elif o == 2:
-                out = second = _central2(arr, axis, steps[axis])
-            else:
-                if second is None:
-                    second = _central2(arr, axis, steps[axis])
-                out = _central1(second, axis, steps[axis])
-                second = None
-            yield from walk(out, axis + 1, prefix + (o,))
-            del out
 
-    yield from walk(samples, 0, ())
+def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndarray) -> float:
+    """Sum of squares of derivative `delta` of `samples` over the samples at
+    least `margin` from every face (`margin` covers each axis's stencil).
+
+    The interior is walked in `core._slabs` of output rows: the axis-0 stencil
+    runs on the slab's rows plus a halo of its half-width, the halo is
+    dropped, and the axis-1 and axis-2 stencils run on the rest. Each slab
+    squares into its rows of one interior-shaped view of the flat scratch
+    buffer `squares`, which is summed whole, so the sum sees the same values
+    in the same layout as a sum over the whole-volume derivative's interior.
+    """
+    inner = _interior(samples.shape, margin)
+    buf = squares[:math.prod(inner)].reshape(inner)
+    halo = (delta[0] + 1) // 2
+    for part in core._slabs(inner):
+        rows = min(part.stop, inner[0]) - part.start
+        lo = part.start + margin - halo
+        d = _derivative(samples[lo:lo + rows + 2 * halo], 0, delta[0], steps[0])[halo:halo + rows]
+        d = _derivative(d, 1, delta[1], steps[1])
+        d = _derivative(d, 2, delta[2], steps[2])
+        np.square(d[:, margin:margin + inner[1], margin:margin + inner[2]], out=buf[part])
+    return np.sum(buf)
 
 
 def _ordered_multiplicities(order: int) -> dict:
@@ -177,46 +198,48 @@ def _ordered_multiplicities(order: int) -> dict:
     return counts
 
 
-def _interior(shape, margin: int):
-    if margin == 0:
-        return (slice(None),) * 3
-    if any(s <= 2 * margin for s in shape):
+def _interior(shape, margin: int) -> tuple:
+    """Shape of the samples at least `margin` from every face of a block."""
+    inner = tuple(s - 2 * margin for s in shape)
+    if min(inner) < 1:
         raise ValueError(
-            f"sample block {shape} too small for stencil margin {margin}; refine the sampling"
+            f"sample block {tuple(shape)} too small for stencil margin {margin}; refine the sampling"
         )
-    return (slice(margin, -margin),) * 3
+    return inner
 
 
-def _penalty_sums(wanted, regions, derivatives) -> np.ndarray:
+def _penalty_sums(wanted, r3, derivatives) -> np.ndarray:
     """The wanted S1..S5 as sample sums (others zero), before the cell volume.
 
     The ordered sums over directions, with each distinct derivative taken
     once and weighted by how many ordered direction tuples produce it: S1 and
     S3 square first derivatives (j), S2 second (j, k), S4 third (j, k, q); S5
-    squares the field itself. `derivatives(c, deltas)` yields (delta, values)
-    of component c; S_n sums `values[regions[n]]`.
+    squares the field itself. `derivatives(c, deltas, keep)` yields
+    (delta, s, values) for component c in the order it chooses: s is the sum of
+    squares of that derivative over the samples its regularizers sum, and
+    `values` is the derivative itself for delta == keep, else None. S3 adds
+    the sums over `r3` of the products of the three diagonal first
+    derivatives d nu_c / d x_c, kept this way.
     """
     uses: dict = {}  # multi-index -> [(regularizer, multiplicity)]
-    for n, order in ((0, 1), (1, 2), (2, 1), (3, 3), (4, 0)):
+    for n, order in enumerate(_ORDERS):
         if n in wanted:
             for delta, mult in _ordered_multiplicities(order).items():
                 uses.setdefault(delta, []).append((n, mult))
 
     out = np.zeros(5)
-    diag = []  # d nu_c / d x_c, for the elastic cross products
+    diag = []
     for c in range(3):
-        first_c = tuple(1 if a == c else 0 for a in range(3))
-        for delta, d in derivatives(c, tuple(uses)):
+        keep = tuple(1 if a == c else 0 for a in range(3)) if 2 in wanted else None
+        for delta, s, values in derivatives(c, tuple(uses), keep):
             for n, mult in uses[delta]:
-                out[n] += mult * np.sum(d[regions[n]] ** 2)
-            if 2 in wanted and delta == first_c:
-                diag.append(d)
-            del d
+                out[n] += mult * s
+            if values is not None:
+                diag.append(values)
 
     if 2 in wanted:
         # S3 adds the three divergence-style cross products of distinct
         # diagonal first derivatives, each once
-        r3 = regions[2]
         for a in range(3):
             for b in range(a + 1, 3):
                 out[2] += np.sum((diag[a] * diag[b])[r3])
@@ -226,12 +249,19 @@ def _penalty_sums(wanted, regions, derivatives) -> np.ndarray:
 def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
     """Finite-difference penalties over a dense sampling of the field.
 
-    Each displacement component is sampled as one contiguous volume in turn
-    and differentiated by central stencils. With skip-boundary, each
-    regularizer sums only samples whose stencils stay inside the block; with
-    clamp, the component's block is edge-padded by 2 first so every sample
-    contributes. Requires at least 4 samples per tile per axis so the stencils
-    resolve the piecewise-cubic structure. The result has no gradient.
+    Each displacement component is sampled whole as one contiguous volume in
+    turn (edge-padded by 2 under clamp) and differentiated by tensor-product
+    central stencils, third order along an axis nesting a first difference
+    over the second difference (half-width 2, error O(h^2)). Apart from S3's
+    three diagonal first derivatives d nu_c / d x_c, which stay whole
+    volumes, every derivative is evaluated in cache-sized slabs of rows
+    (`_square_sum`) by flat-offset stencils whose entries near the faces
+    normal to their axis are garbage, and those entries are never summed.
+    With skip-boundary, each regularizer sums only samples whose stencils stay
+    inside the block, a margin of (order + 1) // 2 samples; with clamp, the
+    padding absorbs the stencils so every sample contributes. Requires at
+    least 4 samples per tile per axis so the stencils resolve the
+    piecewise-cubic structure. The result has no gradient.
 
     `terms` optionally restricts which of S1..S5 are computed (0-based
     indices); the rest stay zero. Benchmarks use this to time one regularizer
@@ -247,22 +277,36 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
             )
 
     clamp = spec.boundary_policy == "clamp"
-    shape = tuple(len(a) for a in axes)
+    block = tuple(len(a) + (4 if clamp else 0) for a in axes)
 
-    def region(margin: int):
-        if clamp:
-            return (slice(2, -2),) * 3  # padding absorbs the stencil margin
-        return _interior(shape, margin)
+    def margin(order: int) -> int:
+        # clamp's edge padding of 2 absorbs every stencil; skip-boundary drops
+        # the widest per-axis stencil half-width among the derivatives of that
+        # order, reached with the whole order on one axis
+        return 2 if clamp else (order + 1) // 2
 
-    regions = {n: region(_REG_MARGINS[n]) for n in wanted}
+    # one scratch buffer for every derivative's squares, sized for the widest
+    # interior any wanted regularizer sums (checked here, before sampling)
+    size = max((math.prod(_interior(block, margin(_ORDERS[n]))) for n in wanted), default=0)
+    squares = np.empty(size)
 
-    def derivatives(c, deltas):
+    def derivatives(c, deltas, keep):
         samples = core.sample_partial(grid, axes, c + 1, (0, 0, 0))
         if clamp:
             samples = np.pad(samples, 2, mode="edge")
-        return _fd_derivatives(samples, deltas, steps)
+        # lexicographic, the order the terms have always accumulated in: it
+        # fixes their last bits
+        for delta in sorted(deltas):
+            s = _square_sum(samples, delta, steps, margin(sum(delta)), squares)
+            values = None
+            if delta == keep:
+                values = samples
+                for axis in range(3):
+                    values = _derivative(values, axis, delta[axis], steps[axis])
+            yield delta, s, values
 
-    out = _penalty_sums(wanted, regions, derivatives)
+    r3 = (slice(margin(1), -margin(1)),) * 3
+    out = _penalty_sums(wanted, r3, derivatives)
     out *= float(np.prod(steps))
     return PenaltyResult(value=float(weights.as_array() @ out), terms=out, gradient=None)
 
@@ -284,14 +328,14 @@ def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyResult:
     geometry = grid.geometry
     axes, _ = sample_axes(geometry, spec)
     ws = [[core.axis_weight_matrix(geometry, d, axes[d], o) for o in range(4)] for d in range(3)]
-    everything = dict.fromkeys(range(5), (slice(None),) * 3)
     terms = np.zeros(5)
     for part in core._slabs(tuple(len(a) for a in axes)):
-        def derivatives(c, deltas, part=part):
+        def derivatives(c, deltas, keep, part=part):
             for delta in deltas:
                 w1, w2, w3 = (ws[d][delta[d]] for d in range(3))
-                yield delta, core._contract(grid.coefficients[c], w1[part], w2, w3)
+                d = core._contract(grid.coefficients[c], w1[part], w2, w3)
+                yield delta, np.sum(d ** 2), d if delta == keep else None
 
-        terms += _penalty_sums(range(5), everything, derivatives)
+        terms += _penalty_sums(range(5), (slice(None),) * 3, derivatives)
     terms *= float(np.prod(geometry.tile_spacing)) / float(np.prod(spt))
     return PenaltyResult(value=float(weights.as_array() @ terms), terms=terms, gradient=None)

@@ -309,6 +309,23 @@ def test_register_nan_volume_is_a_data_error(tmp_path, capsys):
      "--sweep-regularizer", "curvature"),
     ("bench", "--repeats", "2"),
     ("bench", "--thread-list", "0"),
+    # out-of-range values are usage errors, found before any file is read
+    ("penalty", "--grid", "g.bspg", "--curvature", "-1"),
+    ("penalty", "--grid", "g.bspg", "--diffusion", "nan"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--third-order", "inf"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--sweep-weights", "1e-3,-1",
+     "--sweep-regularizer", "curvature"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--history-size", "0"),
+    ("metrics", "--grid", "g.bspg", "--jacobian-samples", "0"),
+    ("penalty", "--grid", "g.bspg", "--method", "quadrature", "--samples-per-tile", "0"),
+    ("penalty", "--grid", "g.bspg", "--method", "numeric", "--voxel-spacing", "0", "2", "2"),
+    ("compare", "--grid", "g.bspg", "--voxel-spacing", "2", "-1", "2"),
+    ("bench", "--grid-spacing", "-4", "8", "8"),
+    ("vbank", "--spacing", "8", "0", "8", "--out", "b.vbk"),
+    ("bench", "--dims", "0", "8", "8"),
+    ("synth", "phantom", "--dims", "8", "-1", "8", "--out", "p.vol"),
+    ("synth", "field", "--tiles", "0", "2", "2"),
+    ("synth", "field", "--landmarks", "-3"),
 ])
 def test_thread_flag_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:

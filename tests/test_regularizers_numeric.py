@@ -1,5 +1,6 @@
 """Sampled numeric penalties: the finite-difference baseline and the oracle."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -143,9 +144,80 @@ def test_fd_penalty_terms_subset():
     assert only2.terms[0] == 0.0 and only2.terms[3] == 0.0
 
 
+# ---------------------------------------------------------------------------
+# The whole-volume formulation that fd_penalty's slabs replaced, frozen here as
+# the reference so that it shares no code with the library: zero-filled
+# stencils over the whole volume, the depth-first walk over the axes and the
+# ordered sums with each distinct derivative's multiplicity.
+# ---------------------------------------------------------------------------
+
+_FROZEN_MARGINS = (1, 1, 1, 2, 0)  # S1..S5: widest per-axis stencil half-width
+
+
+def _frozen_central(arr, axis, h, order):
+    out = np.zeros_like(arr)
+    mid = [slice(None)] * 3
+    hi = [slice(None)] * 3
+    lo = [slice(None)] * 3
+    mid[axis] = slice(1, -1)
+    hi[axis] = slice(2, None)
+    lo[axis] = slice(None, -2)
+    if order == 1:
+        out[tuple(mid)] = (arr[tuple(hi)] - arr[tuple(lo)]) / (2.0 * h)
+    else:
+        out[tuple(mid)] = (arr[tuple(hi)] - 2.0 * arr[tuple(mid)] + arr[tuple(lo)]) / (h * h)
+    return out
+
+
+def _frozen_derivatives(samples, deltas, steps):
+    """(delta, volume) for the wanted multi-indices, depth first over the axes."""
+
+    def walk(arr, axis, prefix):
+        if axis == 3:
+            yield prefix, arr
+            return
+        for o in sorted({d[axis] for d in deltas if d[:axis] == prefix}):
+            out = arr
+            if o == 1:
+                out = _frozen_central(arr, axis, steps[axis], 1)
+            elif o >= 2:
+                out = _frozen_central(arr, axis, steps[axis], 2)
+                if o == 3:
+                    out = _frozen_central(out, axis, steps[axis], 1)
+            yield from walk(out, axis + 1, prefix + (o,))
+
+    yield from walk(samples, 0, ())
+
+
+def _frozen_sums(wanted, regions, derivatives):
+    uses = {}
+    for n, order in ((0, 1), (1, 2), (2, 1), (3, 3), (4, 0)):
+        if n in wanted:
+            counts = {}
+            for dirs in itertools.product(range(3), repeat=order):
+                delta = tuple(dirs.count(a) for a in range(3))
+                counts[delta] = counts.get(delta, 0) + 1
+            for delta, mult in counts.items():
+                uses.setdefault(delta, []).append((n, mult))
+    out = np.zeros(5)
+    diag = []
+    for c in range(3):
+        first_c = tuple(1 if a == c else 0 for a in range(3))
+        for delta, d in derivatives(c, tuple(uses)):
+            for n, mult in uses[delta]:
+                out[n] += mult * np.sum(d[regions[n]] ** 2)
+            if 2 in wanted and delta == first_c:
+                diag.append(d)
+    if 2 in wanted:
+        for a in range(3):
+            for b in range(a + 1, 3):
+                out[2] += np.sum((diag[a] * diag[b])[regions[2]])
+    return out
+
+
 def _ordered_sum_reference(grid, spec):
     """S1..S4 as the explicit ordered sums over components and directions,
-    every ordered derivative taken from scratch with the same stencils."""
+    every ordered derivative taken from scratch with the frozen stencils."""
     axes, steps = rn.sample_axes(grid.geometry, spec)
     field = core.sample_displacement(grid, axes)
 
@@ -154,11 +226,11 @@ def _ordered_sum_reference(grid, spec):
         for axis in range(3):
             o = dirs.count(axis)
             if o == 1:
-                out = rn._central1(out, axis, steps[axis])
-            elif o == 2:
-                out = rn._central2(out, axis, steps[axis])
-            elif o == 3:
-                out = rn._central1(rn._central2(out, axis, steps[axis]), axis, steps[axis])
+                out = _frozen_central(out, axis, steps[axis], 1)
+            elif o >= 2:
+                out = _frozen_central(out, axis, steps[axis], 2)
+                if o == 3:
+                    out = _frozen_central(out, axis, steps[axis], 1)
         return out
 
     inner1, inner2 = (slice(1, -1),) * 3, (slice(2, -2),) * 3
@@ -188,65 +260,90 @@ def test_fd_penalty_matches_explicit_ordered_sums():
 
 def _interleaved_fd_terms(grid, spec, terms):
     """fd_penalty as formulated on the interleaved (S1, S2, S3, 3) field,
-    padded as one 4-D array under clamp and differentiated on stride-3 views."""
+    padded as one 4-D array under clamp and differentiated whole, on stride-3
+    views, by the frozen walk."""
     wanted = frozenset(terms)
     axes, steps = rn.sample_axes(grid.geometry, spec)
     field = np.ascontiguousarray(core.sample_displacement(grid, axes))
-    clamp = spec.boundary_policy == "clamp"
-    if clamp:
+    if spec.boundary_policy == "clamp":
         field = np.pad(field, ((2, 2), (2, 2), (2, 2), (0, 0)), mode="edge")
-    regions = {n: (slice(2, -2),) * 3 if clamp else rn._interior(field.shape[:3], rn._REG_MARGINS[n])
-               for n in wanted}
-    out = rn._penalty_sums(
-        wanted, regions, lambda c, deltas: rn._fd_derivatives(field[..., c], deltas, steps)
-    )
+        regions = dict.fromkeys(wanted, (slice(2, -2),) * 3)
+    else:
+        regions = {n: (slice(_FROZEN_MARGINS[n], field.shape[0] - _FROZEN_MARGINS[n]),
+                       slice(_FROZEN_MARGINS[n], field.shape[1] - _FROZEN_MARGINS[n]),
+                       slice(_FROZEN_MARGINS[n], field.shape[2] - _FROZEN_MARGINS[n])) for n in wanted}
+    out = _frozen_sums(wanted, regions, lambda c, deltas: _frozen_derivatives(field[..., c], deltas, steps))
     return out * float(np.prod(steps))
 
 
 @pytest.mark.parametrize("policy", ["skip-boundary", "clamp"])
 def test_fd_penalty_bitwise_equals_interleaved_formulation(policy):
-    """Sampling one contiguous component at a time moves no bit against the
-    interleaved whole-field formulation, for all terms and each term alone."""
-    grid = random_grid((3, 2, 4), (12.0, 10.0, 9.0), seed=9, origin=(-3.0, 4.0, 0.5))
-    spec = rn.SamplingSpec.voxel_grid((2.0, 2.5, 1.5), policy)
-    for terms in [range(5)] + [[n] for n in range(5)]:
-        got = rn.fd_penalty(grid, NO_WEIGHTS, spec, terms=terms)
-        assert got.gradient is None
-        np.testing.assert_array_equal(got.terms, _interleaved_fd_terms(grid, spec, terms))
+    """The slabbed flat-offset evaluation moves no bit against the whole-volume
+    formulation on the interleaved field, for all terms and each term alone:
+    on a block inside one slab, and on 64x40x38 samples, whose interiors span
+    three or four slabs and end in a short one (one row for margin 0 and clamp)."""
+    blocks = [
+        (random_grid((3, 2, 4), (12.0, 10.0, 9.0), seed=9, origin=(-3.0, 4.0, 0.5)), (2.0, 2.5, 1.5)),
+        (random_grid((8, 5, 6), (16.0, 16.0, 16.0), seed=10, origin=(1.0, -2.0, 3.0)), (2.0, 2.0, 2.5)),
+    ]
+    for grid, voxels in blocks:
+        spec = rn.SamplingSpec.voxel_grid(voxels, policy)
+        for terms in [range(5)] + [[n] for n in range(5)]:
+            got = rn.fd_penalty(grid, NO_WEIGHTS, spec, terms=terms)
+            assert got.gradient is None
+            np.testing.assert_array_equal(got.terms, _interleaved_fd_terms(grid, spec, terms))
 
 
-@pytest.mark.parametrize("policy, bound", [("skip-boundary", 8.5), ("clamp", 10.0)])
-def test_fd_penalty_memory_stays_bounded(policy, bound):
-    """All five terms at 64^3 samples hold one component's samples, the walk's
-    few derivative volumes and the three diagonal first derivatives of S3,
-    not the whole three-component field (10.0 and 12.0 volumes when it was)."""
-    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
-    spec = rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), policy)
-    volume = 64 ** 3 * 8
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_flat_offset_stencils_match_whole_volume_formulas(axis):
+    """Off the one-sample margin normal to `axis`, the flat-offset stencils are
+    bitwise equal to the whole-volume formulas on a non-cubic volume."""
+    arr = np.random.default_rng(axis).normal(size=(7, 9, 11))
+    inner = [slice(None)] * 3
+    inner[axis] = slice(1, -1)
+    inner = tuple(inner)
+    for order, stencil in ((1, rn._central1), (2, rn._central2)):
+        got = stencil(arr, axis, 0.7)
+        assert got.shape == arr.shape and np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got[inner], _frozen_central(arr, axis, 0.7, order)[inner])
+
+
+def _peak_volumes(grid, spec, terms=None):
+    """tracemalloc peak of one fd_penalty call, in 64^3 float64 volumes."""
     tracemalloc.start()
     try:
-        rn.fd_penalty(grid, NO_WEIGHTS, spec)
+        rn.fd_penalty(grid, NO_WEIGHTS, spec, terms=terms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * volume, f"peak {peak / volume:.2f} volumes"
+    return peak / (64 ** 3 * 8)
+
+
+@pytest.mark.parametrize("policy, bound", [("skip-boundary", 6.5), ("clamp", 7.5)])
+def test_fd_penalty_memory_stays_bounded(policy, bound):
+    """All five terms at 64^3 samples hold one component's samples, one
+    interior-shaped squares buffer, slab-sized stencil temporaries and the
+    three whole-volume diagonal first derivatives of S3 (8.04 and 9.63
+    volumes when every derivative was a whole volume)."""
+    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
+    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), policy))
+    assert peak <= bound, f"peak {peak:.2f} volumes"
 
 
 def test_fd_penalty_third_order_memory_stays_bounded():
-    """The third-order sum at 64^3 samples holds the sampled field plus a few
-    derivative volumes at a time, not one volume per distinct derivative."""
+    """The third-order sum at 64^3 samples holds one component's samples and
+    one squares buffer, not whole-volume derivatives (5.04 volumes when it did)."""
     geom = core.GridGeometry((4, 4, 4), (16.0, 16.0, 16.0))
     grid = make_smooth_grid(geom, amplitude=3.0, smoothness=32.0, seed=7)
-    spec = rn.SamplingSpec.per_tile((16, 16, 16))
-    volume = 64 ** 3 * 8
-    field = 3 * volume
-    tracemalloc.start()
-    try:
-        rn.fd_penalty(grid, NO_WEIGHTS, spec, terms=[3])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= field + 6 * volume, f"peak {peak / volume:.1f} volumes"
+    peak = _peak_volumes(grid, rn.SamplingSpec.per_tile((16, 16, 16)), terms=[3])
+    assert peak <= 3.5, f"peak {peak:.2f} volumes"
+
+
+def test_fd_penalty_curvature_memory_stays_bounded():
+    """As the third-order sum, for the curvature sum (4.04 volumes before)."""
+    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
+    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[1])
+    assert peak <= 3.5, f"peak {peak:.2f} volumes"
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,13 @@ show("fd_penalty", *[sr.fd_penalty(g, weights[0], sr.SamplingSpec.voxel_grid(v, 
 show("fd_penalty_single_term", *[sr.fd_penalty(g, weights[0], sr.SamplingSpec.voxel_grid((1.0, 2.0, 2.0), b),
                                                 terms=[n]).terms
                                  for g in smooth for b in ("skip-boundary", "clamp") for n in range(5)])
+slabbed = []  # blocks whose interiors span several slabs of fd_penalty and end in a short one
+for t, o, v in (((9, 4, 5), (-5.0, 3.0, 1.0), (2.0, 2.0, 2.0)), ((8, 5, 6), (0, 0, 0), (2.0, 2.0, 2.5))):
+    g = sr.make_smooth_grid(core.GridGeometry(t, (16.0,) * 3, o), 2.0, 30.0, seed=8)
+    slabbed += [(g, sr.SamplingSpec.voxel_grid(v, b)) for b in ("skip-boundary", "clamp")]
+show("fd_penalty_slabs", *[sr.fd_penalty(g, weights[0], s).terms for g, s in slabbed])
+show("fd_penalty_slabs_single_term", *[sr.fd_penalty(g, weights[0], s, terms=[n]).terms
+                                       for g, s in slabbed for n in range(5)])
 fields = [sr.dense_field(g, s) for g in smooth
           for s in (sr.SamplingSpec.voxel_grid((2.0, 2.5, 1.5)), sr.SamplingSpec.per_tile((5, 4, 6)))]
 show("dense_field", *[x for v in fields for x in (v.data, v.spacing, v.origin)])
