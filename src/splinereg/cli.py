@@ -323,7 +323,7 @@ def _parse_stage(text: str) -> reg.RegistrationStage:
 def _run_registration(fixed, moving, config, args) -> dict:
     grid, histories = reg.optimize(fixed, moving, config)
     warped = vio.warp_volume(moving, grid, fixed)
-    final_mse, _ = reg.mse_cost_grad(fixed, moving, grid)  # in-bounds samples, as optimized
+    final_mse, _ = reg.mse_cost_grad(fixed, moving, grid)  # hull-faded samples, as optimized
     spec = numeric.SamplingSpec.per_tile((4, 4, 4))
     _, min_j = metrics.jacobian_map(grid, spec)
     out = {

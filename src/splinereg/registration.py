@@ -1,11 +1,14 @@
 """Mean-squared-error B-spline registration with analytic gradients.
 
-The driver minimizes C = sum (M(x + v(x)) - F(x))^2 + S(v) over the coefficient
-lattice using a limited-memory quasi-Newton loop (two-loop recursion) with
-Armijo backtracking. M is the trilinear interpolant of the moving image, and
-the image gradient is always the exact derivative of that interpolant. Stages
-run coarse to fine; each stage fits its grid to the previous stage's field by
-separable least squares before optimizing.
+The driver minimizes C = sum w(p) (M(p) - F(x))^2 + S(v), p = x + v(x), over
+the coefficient lattice using a limited-memory quasi-Newton loop (two-loop
+recursion) with Armijo backtracking. M is the trilinear interpolant of the
+moving image, and the image gradient is always the exact derivative of that
+interpolant. The hull fade w(p) falls from 1 to 0 across the moving image's
+outermost voxel cell, so a sample leaving the image changes C continuously
+and the line search need not backtrack around it. Stages run coarse to fine;
+each stage fits its grid to the previous stage's field by separable least
+squares before optimizing.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .volume_io import (
     Volume,
     box_downsample,
     covering_geometry,
+    _hull_fade,
     _warped_planes,
     trilinear_sample,
 )
@@ -78,13 +82,17 @@ class StageHistory:
 
 
 def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) -> tuple:
-    """Sum of squared intensity differences under the warp, and its gradient
-    with respect to every coefficient.
+    """Sum of hull-faded squared intensity differences under the warp, and its
+    gradient with respect to every coefficient.
 
-    Moving-image values come from trilinear interpolation, and the image
-    gradient is the exact derivative of that interpolant, so the
-    finite-difference check of the cost closes to roundoff. Out-of-bounds
-    warped samples contribute nothing to value or gradient.
+    C = sum_x w(p) r^2 with p = x + v(x) and r = M(p) - F(x). M is the
+    trilinear interpolant of the moving image. The fade w(p) = prod_d
+    clip(min(i_d, n_d - 1 - i_d), 0, 1) at p's voxel index i_d falls from 1 to
+    0 across the outermost voxel cell (it is 1 on a one-voxel axis), so C is
+    continuous where a sample crosses the voxel-centre hull. dC/dp = 2 w r
+    grad M + r^2 grad w, with grad M the exact derivative of the interpolant,
+    so the finite-difference check of the cost closes to roundoff. Samples on
+    or outside the hull contribute nothing to value or gradient.
     """
     if not fixed.same_geometry(moving):
         raise ValueError("fixed and moving volumes must share dims, spacing and origin")
@@ -98,14 +106,25 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) ->
         raise ValueError("grid extent does not cover the fixed image")
 
     ws = [core.axis_weight_matrix(geometry, d, axes[d], 0) for d in range(3)]
-    points = np.moveaxis(_warped_planes(grid, axes, ws), 0, -1)
-    diff, weighted = np.empty(fixed.dims), np.empty((3,) + fixed.dims)
+    planes = _warped_planes(grid, axes, ws)
+    points = np.moveaxis(planes, 0, -1)
+    cost, weighted = np.empty(fixed.dims), np.empty((3,) + fixed.dims)
     for part in core._slabs(fixed.dims):
         m_vals, m_grads, inside = trilinear_sample(moving, points[part], gradient=True)
-        diff[part] = np.where(inside, m_vals - fixed.data[part], 0.0)
+        diff = np.where(inside, m_vals - fixed.data[part], 0.0)
+        cost[part] = diff * diff
         for c in range(3):
-            weighted[c, part] = 2.0 * diff[part] * m_grads[..., c]
-    value = float(np.sum(diff * diff))
+            weighted[c, part] = 2.0 * diff * m_grads[..., c]
+        # near the hull the fade w < 1 scales the cost to w r^2 and the
+        # gradient to 2 w r grad M + r^2 grad w
+        near, fade, fade_grads = _hull_fade(moving, planes[:, part])
+        r = diff.reshape(-1)[near]
+        faded = fade * r
+        cost[part].reshape(-1)[near] = faded * r
+        m_planes = np.moveaxis(m_grads, -1, 0).reshape(3, -1)
+        for c in range(3):
+            weighted[c, part].reshape(-1)[near] = 2.0 * faded * m_planes[c, near] + r * r * fade_grads[c]
+    value = float(np.sum(cost))
     gradient = np.stack([core.scatter_separable(weighted[c], *ws) for c in range(3)])
     return value, gradient
 

@@ -224,6 +224,37 @@ def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False)
     return values, np.moveaxis(grads, 0, -1), inside
 
 
+def _hull_fade(volume: Volume, planes: np.ndarray) -> tuple:
+    """Weight that fades a sample out across the outermost voxel cell of
+    `volume`, and its gradient per mm, at the (3, ...) planes of physical points.
+
+    w(p) = prod_d clip(min(i_d, n_d - 1 - i_d), 0, 1) at voxel index i_d: 0 on
+    the faces of the voxel-centre hull and outside it, 1 one cell or more
+    inside. On a one-voxel axis the factor is 1. w is 1 and its gradient 0 at
+    all but the points near the hull, so only those are returned: (near, w, dw)
+    with `near` flat indices into planes[0], and w and the (3, len(near))
+    gradient dw at them. dw_d is the product of the other two factors times
+    +-1 / spacing_d on the ramp and 0 elsewhere.
+    """
+    axes = [d for d, n in enumerate(volume.dims) if n > 1]
+    index = {d: (planes[d] - volume.origin[d]) / volume.spacing[d] for d in axes}
+    edge = np.full(planes.shape[1:], np.inf)
+    for d in axes:
+        np.minimum(edge, np.minimum(index[d], (volume.dims[d] - 1) - index[d]), out=edge)
+    near = np.flatnonzero(edge < 1.0)
+    factors, slopes = [np.ones(near.size)] * 3, [np.zeros(near.size)] * 3
+    for d in axes:
+        i = index[d].reshape(-1)[near]
+        upper = (volume.dims[d] - 1) - i
+        edge_d = np.minimum(i, upper)
+        factors[d] = np.clip(edge_d, 0.0, 1.0)
+        sign = np.where(i <= upper, 1.0, -1.0)
+        slopes[d] = np.where((edge_d > 0.0) & (edge_d < 1.0), sign, 0.0) / volume.spacing[d]
+    w1, w2, w3 = factors
+    dw = np.stack([slopes[0] * w2 * w3, slopes[1] * w1 * w3, slopes[2] * w1 * w2])
+    return near, w1 * w2 * w3, dw
+
+
 def _warped_planes(grid: core.ControlPointGrid, axes, ws) -> np.ndarray:
     """(3, S1, S2, S3) planes of x + v(x) on the separable grid `axes`, given
     the grid's per-axis 0th-order weight matrices `ws` at those coordinates."""

@@ -74,15 +74,34 @@ def test_mse_gradient_matches_finite_differences():
 
 
 def _unsliced_mse(fixed, moving, grid):
-    """mse_cost_grad's value and gradient from one trilinear_sample call on the
-    whole interleaved (..., 3) grid of warped voxel centres."""
+    """mse_cost_grad's value and gradient from the definition, on the whole
+    volume at once: one trilinear_sample call on the interleaved (..., 3) grid
+    of warped voxel centres p, residual r = M(p) - F(x), hull fade
+    w = w1 w2 w3 with w_d = clip(min(i_d, n_d - 1 - i_d), 0, 1) at voxel index
+    i_d (1 on a one-voxel axis), C = sum w r^2, dC/dp = 2 w r grad M + r^2 grad w."""
     axes = [fixed.axis_coords(d) for d in range(3)]
     ws = [core.axis_weight_matrix(grid.geometry, d, axes[d], 0) for d in range(3)]
     points = np.ascontiguousarray(vio.warped_voxel_centers(grid, fixed))
     m_vals, m_grads, inside = vio.trilinear_sample(moving, points, gradient=True)
     diff = np.where(inside, m_vals - fixed.data, 0.0)
-    gradient = np.stack([core.scatter_separable(2.0 * diff * m_grads[..., c], *ws) for c in range(3)])
-    return float(np.sum(diff * diff)), gradient
+    fades, slopes = [], []  # w_d and dw_d / dp_d
+    for d, n in enumerate(moving.dims):
+        i = (points[..., d] - moving.origin[d]) / moving.spacing[d]
+        if n == 1:
+            fades.append(np.ones(fixed.dims))
+            slopes.append(np.zeros(fixed.dims))
+            continue
+        to_far_face = (n - 1) - i
+        edge = np.minimum(i, to_far_face)
+        on_ramp = (0.0 < edge) & (edge < 1.0)
+        fades.append(np.clip(edge, 0.0, 1.0))
+        slopes.append(np.where(on_ramp, np.where(i <= to_far_face, 1.0, -1.0), 0.0) / moving.spacing[d])
+    w = fades[0] * fades[1] * fades[2]
+    dw = [slopes[0] * fades[1] * fades[2], slopes[1] * fades[0] * fades[2], slopes[2] * fades[0] * fades[1]]
+    gradient = np.stack([
+        core.scatter_separable(2.0 * w * diff * m_grads[..., c] + diff * diff * dw[c], *ws) for c in range(3)
+    ])
+    return float(np.sum(w * diff * diff)), gradient
 
 
 @pytest.mark.parametrize("dims", [(37, 38, 35), (20, 1, 24), (3, 200, 200)])
@@ -100,6 +119,49 @@ def test_mse_slabs_match_unsliced_reference(dims):
     ref_value, ref_gradient = _unsliced_mse(fixed, moving, grid)
     assert value > 0 and value == ref_value
     assert gradient.tobytes() == ref_gradient.tobytes()
+
+
+def test_mse_cost_continuous_across_the_hull():
+    """A uniform translation that carries the outermost voxel centres across the
+    moving image's hull changes the cost continuously: the fade takes a sample
+    out over one voxel cell instead of dropping it at the face."""
+    moving = blob_volume(dims=(20, 20, 20), seed=1)
+    fixed = blob_volume(dims=(20, 20, 20), seed=2)
+    geom = vio.covering_geometry(fixed, (10.0, 10.0, 10.0))
+
+    def cost(t):
+        coeffs = np.zeros((3,) + geom.lattice_shape)
+        coeffs[0] = t
+        return reg.mse_cost_grad(fixed, moving, core.ControlPointGrid(geom, coeffs))[0]
+
+    assert abs(cost(1e-6) - cost(-1e-6)) / cost(0.0) <= 1e-6
+
+
+def test_mse_gradient_matches_finite_differences_at_the_hull():
+    """Coefficients in the lattice's two outer shells on each axis move the
+    samples on the fade ramp, where the r^2 grad w term of the gradient acts."""
+    moving = blob_volume(seed=1)
+    fixed = blob_volume(seed=2)
+    geom = vio.covering_geometry(fixed, (12.0, 12.0, 12.0))
+    grid = random_grid(geom.tile_counts, geom.tile_spacing, seed=3, scale=1.5)
+    _, gradient = reg.mse_cost_grad(fixed, moving, grid)
+    rng = np.random.default_rng(6)
+    h = 1e-4
+    floor = 1e-4 * np.abs(gradient).max()
+    shape = geom.lattice_shape
+    for axis in range(3):
+        for shell in (0, 1, shape[axis] - 2, shape[axis] - 1):
+            for c in range(3):
+                ijk = [int(rng.integers(0, s)) for s in shape]
+                ijk[axis] = shell
+                idx = (c,) + tuple(ijk)
+                plus = grid.copy()
+                plus.coefficients[idx] += h
+                minus = grid.copy()
+                minus.coefficients[idx] -= h
+                fd = (reg.mse_cost_grad(fixed, moving, plus)[0] - reg.mse_cost_grad(fixed, moving, minus)[0]) / (2 * h)
+                got = gradient[idx]
+                assert abs(fd - got) / max(abs(fd), abs(got), floor) <= 1e-4, idx
 
 
 def test_mse_builds_axis_weights_once(monkeypatch):
@@ -237,6 +299,25 @@ def test_stage_evaluations_count_cost_calls(monkeypatch):
     _, history = reg.optimize(fixed, moving, config)
     assert [h.evaluations for h in history] == [calls.count(h.grid_spacing) for h in history]
     assert all(h.evaluations >= h.iterations + 1 for h in history)
+
+
+def test_optimize_line_search_rarely_backtracks():
+    """On a cost continuous at the hull, each stage makes at most two
+    cost-and-gradient evaluations per accepted iteration, plus its first."""
+    moving = blob_volume(dims=(24, 24, 24), seed=13)
+    geom = vio.covering_geometry(moving, (8.0, 8.0, 8.0))
+    truth, _, _ = vio.make_ground_truth_field(geom, 3.0, 24.0, seed=14, n_landmarks=10)
+    fixed = vio.warp_volume(moving, truth, moving)
+    config = reg.RegistrationConfig(
+        stages=(
+            reg.RegistrationStage((16.0,) * 3, max_iterations=12, image_downsample=2),
+            reg.RegistrationStage((8.0,) * 3, max_iterations=12),
+        ),
+        weights=RegularizerWeights(curvature=1e-2),
+    )
+    _, history = reg.optimize(fixed, moving, config)
+    counts = [(h.evaluations, h.iterations) for h in history]
+    assert all(evals <= 2 * its + 1 for evals, its in counts), counts
 
 
 def test_costs_monotone_during_registration():
