@@ -23,9 +23,8 @@ from .volume_io import (
     Volume,
     box_downsample,
     covering_geometry,
-    _hull_fade,
+    _hull_faded_sample,
     _warped_planes,
-    trilinear_sample,
 )
 
 
@@ -88,11 +87,13 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) ->
     C = sum_x w(p) r^2 with p = x + v(x) and r = M(p) - F(x). M is the
     trilinear interpolant of the moving image. The fade w(p) = prod_d
     clip(min(i_d, n_d - 1 - i_d), 0, 1) at p's voxel index i_d falls from 1 to
-    0 across the outermost voxel cell (it is 1 on a one-voxel axis), so C is
-    continuous where a sample crosses the voxel-centre hull. dC/dp = 2 w r
-    grad M + r^2 grad w, with grad M the exact derivative of the interpolant,
-    so the finite-difference check of the cost closes to roundoff. Samples on
-    or outside the hull contribute nothing to value or gradient.
+    0 across the outermost voxel cell, so C is continuous where a sample
+    crosses the voxel-centre hull. An axis of one or two voxels has no room
+    for the ramp; there w_d is 1 on and between the voxel planes and 0 off
+    them. dC/dp = 2 w r grad M + r^2 grad w, with grad M the exact derivative
+    of the interpolant, so the finite-difference check of the cost closes to
+    roundoff. Samples on or beyond the hull's faces, or off the planes of a
+    thin axis, contribute nothing to value or gradient.
     """
     if not fixed.same_geometry(moving):
         raise ValueError("fixed and moving volumes must share dims, spacing and origin")
@@ -107,23 +108,18 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) ->
 
     ws = [core.axis_weight_matrix(geometry, d, axes[d], 0) for d in range(3)]
     planes = _warped_planes(grid, axes, ws)
-    points = np.moveaxis(planes, 0, -1)
     cost, weighted = np.empty(fixed.dims), np.empty((3,) + fixed.dims)
     for part in core._slabs(fixed.dims):
-        m_vals, m_grads, inside = trilinear_sample(moving, points[part], gradient=True)
-        diff = np.where(inside, m_vals - fixed.data[part], 0.0)
-        cost[part] = diff * diff
+        m_vals, m_grads, fade, fade_grads = _hull_faded_sample(moving, planes[:, part])
+        # in place on the slab's own arrays, which bound the peak memory
+        diff = np.subtract(m_vals, fixed.data[part], out=m_vals)
+        faded = np.multiply(fade, diff, out=fade)
+        np.multiply(faded, diff, out=cost[part])
+        square = np.multiply(diff, diff, out=diff)
+        twice = np.multiply(faded, 2.0, out=faded)
         for c in range(3):
-            weighted[c, part] = 2.0 * diff * m_grads[..., c]
-        # near the hull the fade w < 1 scales the cost to w r^2 and the
-        # gradient to 2 w r grad M + r^2 grad w
-        near, fade, fade_grads = _hull_fade(moving, planes[:, part])
-        r = diff.reshape(-1)[near]
-        faded = fade * r
-        cost[part].reshape(-1)[near] = faded * r
-        m_planes = np.moveaxis(m_grads, -1, 0).reshape(3, -1)
-        for c in range(3):
-            weighted[c, part].reshape(-1)[near] = 2.0 * faded * m_planes[c, near] + r * r * fade_grads[c]
+            out = np.multiply(twice, m_grads[c], out=weighted[c, part])
+            out += np.multiply(square, fade_grads[c], out=fade_grads[c])
     value = float(np.sum(cost))
     gradient = np.stack([core.scatter_separable(weighted[c], *ws) for c in range(3)])
     return value, gradient

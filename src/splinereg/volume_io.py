@@ -186,6 +186,19 @@ def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False)
     planes = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
     idx = [(planes[d] - volume.origin[d]) / volume.spacing[d] for d in range(3)]
     inside = np.all([(i >= 0.0) & (i <= n - 1) for i, n in zip(idx, volume.dims)], axis=0)
+    values, grads = _cell_trilinear(volume, idx, gradient)
+    values = np.where(inside, values, 0.0)
+    if not gradient:
+        return values, inside
+    grads[:, ~inside] = 0.0
+    return values, np.moveaxis(grads, 0, -1), inside
+
+
+def _cell_trilinear(volume: Volume, idx, gradient: bool) -> tuple:
+    """Values of the trilinear interpolant at the per-axis voxel indices `idx`
+    and, with gradient=True, the (3, ...) planes of its gradient per mm (else
+    None), with no inside test: a point beyond a face takes the value on the
+    face, and its gradient that of the outermost cell."""
     base = [np.clip(np.floor(i).astype(np.int64), 0, max(n - 2, 0)) for i, n in zip(idx, volume.dims)]
     f1, f2, f3 = (np.clip(i - b, 0.0, 1.0) for i, b in zip(idx, base))
 
@@ -207,9 +220,9 @@ def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False)
     c11 = v110 * e3 + v111 * f3
     c0 = c00 * e2 + c01 * f2
     c1 = c10 * e2 + c11 * f2
-    values = np.where(inside, c0 * e1 + c1 * f1, 0.0)
+    values = c0 * e1 + c1 * f1
     if not gradient:
-        return values, inside
+        return values, None
 
     g3 = (
         (v001 - v000) * e1 * e2
@@ -217,42 +230,48 @@ def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False)
         + (v101 - v100) * f1 * e2
         + (v111 - v110) * f1 * f2
     )
-    grads = np.empty(planes.shape)
+    grads = np.empty((3,) + values.shape)
     for d, g in enumerate((c1 - c0, (c01 - c00) * e1 + (c11 - c10) * f1, g3)):
         np.divide(g, volume.spacing[d], out=grads[d, ...])
-    grads[:, ~inside] = 0.0
-    return values, np.moveaxis(grads, 0, -1), inside
+    return values, grads
 
 
-def _hull_fade(volume: Volume, planes: np.ndarray) -> tuple:
-    """Weight that fades a sample out across the outermost voxel cell of
-    `volume`, and its gradient per mm, at the (3, ...) planes of physical points.
+def _hull_faded_sample(volume: Volume, planes: np.ndarray) -> tuple:
+    """The moving-image terms of the hull-faded data term at the (3, ...)
+    planes of physical points: (M, grad M, w, grad w), gradients as (3, ...)
+    planes per mm, M and grad M as `_cell_trilinear` gives them.
 
-    w(p) = prod_d clip(min(i_d, n_d - 1 - i_d), 0, 1) at voxel index i_d: 0 on
-    the faces of the voxel-centre hull and outside it, 1 one cell or more
-    inside. On a one-voxel axis the factor is 1. w is 1 and its gradient 0 at
-    all but the points near the hull, so only those are returned: (near, w, dw)
-    with `near` flat indices into planes[0], and w and the (3, len(near))
-    gradient dw at them. dw_d is the product of the other two factors times
-    +-1 / spacing_d on the ramp and 0 elsewhere.
+    The fade is w = w1 w2 w3 with w_d = clip(min(i_d, n_d - 1 - i_d), 0, 1)
+    at voxel index i_d: 0 on the faces of the voxel-centre hull and beyond
+    them, 1 one cell or more inside. grad w along d is the product of the
+    other two factors times +-1 / spacing_d on the ramp and 0 elsewhere. An
+    axis of one or two voxels has no room for the ramp: there w_d is 1 on and
+    between its voxel planes and 0 off them, as the inside test of
+    `trilinear_sample`.
     """
-    axes = [d for d, n in enumerate(volume.dims) if n > 1]
-    index = {d: (planes[d] - volume.origin[d]) / volume.spacing[d] for d in axes}
-    edge = np.full(planes.shape[1:], np.inf)
-    for d in axes:
-        np.minimum(edge, np.minimum(index[d], (volume.dims[d] - 1) - index[d]), out=edge)
-    near = np.flatnonzero(edge < 1.0)
-    factors, slopes = [np.ones(near.size)] * 3, [np.zeros(near.size)] * 3
-    for d in axes:
-        i = index[d].reshape(-1)[near]
-        upper = (volume.dims[d] - 1) - i
-        edge_d = np.minimum(i, upper)
-        factors[d] = np.clip(edge_d, 0.0, 1.0)
-        sign = np.where(i <= upper, 1.0, -1.0)
-        slopes[d] = np.where((edge_d > 0.0) & (edge_d < 1.0), sign, 0.0) / volume.spacing[d]
-    w1, w2, w3 = factors
-    dw = np.stack([slopes[0] * w2 * w3, slopes[1] * w1 * w3, slopes[2] * w1 * w2])
-    return near, w1 * w2 * w3, dw
+    idx = [(planes[d] - volume.origin[d]) / volume.spacing[d] for d in range(3)]
+    values, grads = _cell_trilinear(volume, idx, True)
+    fades, dw = [], np.zeros((3,) + values.shape)
+    for d, (i, n) in enumerate(zip(idx, volume.dims)):
+        if n <= 2:
+            fades.append(((i >= 0.0) & (i <= n - 1)).astype(float))
+            continue
+        step = 1.0 / volume.spacing[d]
+        to_far_face = (n - 1) - i
+        dw[d] = np.where(i <= to_far_face, step, -step)
+        depth = np.minimum(i, to_far_face, out=to_far_face)  # voxels inside the nearer face
+        dw[d][(depth <= 0.0) | (depth >= 1.0)] = 0.0  # off the ramp
+        fades.append(np.clip(depth, 0.0, 1.0, out=depth))
+    w1, w2, w3 = fades
+    dw[0] *= w2
+    dw[0] *= w3
+    dw[1] *= w1
+    dw[1] *= w3
+    dw[2] *= w1
+    dw[2] *= w2
+    w1 *= w2
+    w1 *= w3
+    return values, grads, w1, dw
 
 
 def _warped_planes(grid: core.ControlPointGrid, axes, ws) -> np.ndarray:
