@@ -84,6 +84,25 @@ def single_threaded_blas():
         set_threads(previous)
 
 
+def blas_environment() -> dict:
+    """BLAS thread state for bench output: the threads of numpy's bundled
+    OpenBLAS outside and inside `single_threaded_blas` (1 there when pinning
+    works; None where numpy bundles no OpenBLAS) and what does the pinning:
+    "threadpoolctl", "openblas-ctypes" or None."""
+    controls = _openblas_thread_controls()
+    if threadpool_limits is not None:
+        pinning = "threadpoolctl"
+    elif controls is not None:
+        pinning = "openblas-ctypes"
+    else:
+        pinning = None
+    threads = (lambda: None) if controls is None else controls[0]
+    outside = threads()
+    with single_threaded_blas():
+        inside = threads()
+    return {"blas_threads": outside, "blas_threads_pinned": inside, "blas_pinning": pinning}
+
+
 def physical_core_count() -> int:
     """Number of physical cores, ignoring SMT siblings. Falls back to cpu_count."""
     try:

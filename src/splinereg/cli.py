@@ -22,7 +22,7 @@ from . import regularizers_analytic as analytic
 from . import regularizers_numeric as numeric
 from . import registration as reg
 from . import volume_io as vio
-from ._threads import resolve_thread_count, single_threaded_blas
+from ._threads import blas_environment, physical_core_count, resolve_thread_count, single_threaded_blas
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -236,6 +236,11 @@ def cmd_bench(args) -> int:
         "tiles": list(geometry.tile_counts),
         "tile_total": geometry.tile_total,
         "repeats": args.repeats,
+        # the environment the timings were taken in
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "physical_cores": physical_core_count(),
+        **blas_environment(),
     }
     report = BenchReport()
     rows = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import bspline_core as core
 
@@ -396,6 +395,33 @@ def _edge_taper_window(shape) -> np.ndarray:
     return w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
 
 
+def _gaussian_blur(array: np.ndarray, sigmas) -> np.ndarray:
+    """Gaussian blur with zero padding, one axis after another, bitwise equal to
+    `scipy.ndimage.gaussian_filter(array, sigmas, mode="constant")`. The kernel
+    exp(-t^2 / (2 sigma^2)), normalized by its sum, is truncated at radius
+    int(4 sigma + 0.5); each output starts as x[i] w0 and adds
+    (x[i-j] + x[i+j]) w_j for j from the radius down to 1, the order of scipy's
+    symmetric-kernel loop. Axes with sigma <= 1e-15 are left as they are."""
+    out = np.array(array, dtype=np.float64)
+    for axis, sigma in enumerate(sigmas):
+        sigma = float(sigma)
+        if sigma <= 1e-15:
+            continue
+        radius = int(4.0 * sigma + 0.5)
+        t = np.arange(-radius, radius + 1)
+        kernel = np.exp(-0.5 / (sigma * sigma) * t ** 2)
+        w = (kernel / kernel.sum())[radius:]
+        lines = np.moveaxis(out, axis, 0)
+        n = lines.shape[0]
+        padded = np.zeros((n + 2 * radius,) + lines.shape[1:])
+        padded[radius:radius + n] = lines
+        blurred = lines * w[0]
+        for j in range(radius, 0, -1):
+            blurred += (padded[radius - j:radius - j + n] + padded[radius + j:radius + j + n]) * w[j]
+        out = np.moveaxis(blurred, 0, axis)
+    return np.ascontiguousarray(out)
+
+
 def make_smooth_grid(
     geometry: core.GridGeometry,
     amplitude: float,
@@ -405,12 +431,16 @@ def make_smooth_grid(
 ) -> core.ControlPointGrid:
     """Smooth random coefficient grid: white noise blurred to the given physical
     correlation scale, optionally tapered to zero at the lattice boundary, and
-    scaled so the largest coefficient vector has magnitude `amplitude`."""
+    scaled so the largest coefficient vector has magnitude `amplitude`.
+
+    The blur is `_gaussian_blur` with sigma = smoothness / tile spacing per
+    axis, zero padded and truncated at 4 sigma: the numbers of
+    `scipy.ndimage.gaussian_filter(mode="constant")`, without importing scipy."""
     rng = np.random.default_rng(seed)
     shape = geometry.lattice_shape
     sigmas = [smoothness / r for r in geometry.tile_spacing]
     coeffs = rng.normal(size=(3,) + shape)
-    coeffs = np.stack([gaussian_filter(coeffs[c], sigma=sigmas, mode="constant") for c in range(3)])
+    coeffs = np.stack([_gaussian_blur(coeffs[c], sigmas) for c in range(3)])
     if edge_taper:
         coeffs *= _edge_taper_window(shape)[None]
     peak = np.max(np.linalg.norm(coeffs, axis=0))

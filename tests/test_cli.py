@@ -1,10 +1,15 @@
 """Command-line surface: exit codes, JSONL schema, determinism."""
 
 import json
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from splinereg import _threads
 from splinereg import bspline_core as core
 from splinereg import volume_io as vio
 from splinereg.cli import main
@@ -196,6 +201,36 @@ def test_bench_small(capsys):
         assert r["seconds_mean"] >= r["seconds_min"]
     numeric_rows = [r for r in rows if r["kind"] == "numeric"]
     assert len(numeric_rows) == 5
+
+
+def test_bench_states_its_environment(capsys):
+    code, out, _ = run_cli(
+        capsys, "bench", "--dims", "12", "12", "12", "--grid-spacing", "8", "8", "8",
+        "--repeats", "3", "--skip-numeric", "--json",
+    )
+    assert code == 0
+    for row in jsonl(out):
+        assert row["python"] == platform.python_version()
+        assert row["numpy"] == np.__version__
+        assert row["physical_cores"] == _threads.physical_core_count() >= 1
+        assert row["blas_pinning"] in ("threadpoolctl", "openblas-ctypes", None)
+        for key in ("blas_threads", "blas_threads_pinned"):
+            assert row[key] is None or row[key] >= 1
+        if row["blas_pinning"] is not None and row["blas_threads"] is not None:
+            assert row["blas_threads_pinned"] == 1
+
+
+def test_cold_start_imports_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import splinereg, splinereg.cli; "
+        "print(json.dumps([splinereg.__file__, sorted(sys.modules)]))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, str(src)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    origin, modules = json.loads(done.stdout)
+    assert Path(origin).resolve().is_relative_to(src)
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
 
 
 def test_register_tiny(tmp_path, capsys):

@@ -54,3 +54,16 @@ def test_single_threaded_blas_warns_once_when_it_cannot_pin(monkeypatch, capsys)
         assert capsys.readouterr().err.count("cannot limit BLAS threads") == 1
     finally:
         _threads._warn_unpinned.cache_clear()
+
+
+def test_blas_environment_says_when_it_cannot_pin(monkeypatch, capsys):
+    monkeypatch.setattr(_threads, "threadpool_limits", None)
+    monkeypatch.setattr(_threads, "_openblas_thread_controls", lambda: None)
+    _threads._warn_unpinned.cache_clear()
+    try:
+        assert _threads.blas_environment() == {
+            "blas_threads": None, "blas_threads_pinned": None, "blas_pinning": None
+        }
+        assert "cannot limit BLAS threads" in capsys.readouterr().err
+    finally:
+        _threads._warn_unpinned.cache_clear()

@@ -163,6 +163,53 @@ def test_ground_truth_amplitude_precondition():
         vio.make_ground_truth_field(geom, amplitude=10.0, smoothness=20.0)
 
 
+# Coefficient lattices (tiles + 3 per axis) and blur sigmas (smoothness over
+# tile spacing) that the benchmark workloads, `splinereg bench` and the
+# acceptance suite's registration draw.
+WORKLOAD_BLURS = [
+    ((6, 7, 8), 2.0), ((19, 19, 19), 2.0), ((35, 35, 35), 2.0),  # penalty_eval
+    ((15, 15, 15), 3.75),  # register: 48^3 voxels, 8 mm tiles
+    ((11, 11, 11), 2.0),  # paper_compare, bench defaults
+    ((19, 19, 19), 20.0 / 8.0),  # criterion 8
+]
+
+
+def _blur_cases(count, seed):
+    """Seeded random (array, sigmas) cases: shapes 1..40 per axis, sigma up to 9,
+    with one-voxel axes, zero sigmas and radii longer than the axis forced in."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        ndim = 1 + k % 3
+        shape = [int(v) for v in rng.integers(1, 41, size=ndim)]
+        sigmas = [float(v) for v in rng.uniform(0.0, 9.0, size=ndim)]
+        axis = int(rng.integers(ndim))
+        if k % 5 == 0:
+            shape[axis] = 1
+        if k % 7 == 0:
+            sigmas[axis] = 0.0
+        if k % 4 == 1:  # radius int(4 sigma + 0.5) >= 12 reaches past a <= 8 axis
+            shape[axis] = int(rng.integers(1, 9))
+            sigmas[axis] = float(rng.uniform(3.0, 9.0))
+        yield rng.normal(size=shape), sigmas
+
+
+def test_gaussian_blur_matches_scipy_bitwise():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    cases = list(_blur_cases(150, seed=2024))
+    cases += [(np.random.default_rng(i).normal(size=shape), [s] * 3)
+              for i, (shape, s) in enumerate(WORKLOAD_BLURS)]
+    seen = {"one_voxel": 0, "zero_sigma": 0, "long_radius": 0}
+    for x, sigmas in cases:
+        got = vio._gaussian_blur(x, sigmas)
+        want = ndimage.gaussian_filter(x, sigmas, mode="constant")
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.array_equal(got, want), (x.shape, sigmas)
+        seen["one_voxel"] += 1 in x.shape
+        seen["zero_sigma"] += 0.0 in sigmas
+        seen["long_radius"] += any(int(4 * s + 0.5) >= n for n, s in zip(x.shape, sigmas) if s > 0)
+    assert min(seen.values()) >= 10, seen
+
+
 # ---------------------------------------------------------------------------
 # interpolation and resampling
 # ---------------------------------------------------------------------------
