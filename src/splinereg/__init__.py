@@ -1,11 +1,12 @@
 """Analytic regularization of uniform cubic B-spline displacement fields.
 
-Core workflow: build a `ControlPointGrid`, build a `VMatrixBank` once per tile
-spacing, then evaluate the weighted smoothness penalty and its gradient in
-closed form: the per-tile quadratic forms of the bank, summed over the whole
-lattice by per-axis operators. Sampled numerical counterparts, field-quality
-metrics, a registration driver, and synthetic-data generators round out the
-toolkit; the `splinereg` command exposes everything on the command line.
+Core workflow: build a `ControlPointGrid`, then evaluate the weighted
+smoothness penalty and its gradient in closed form: the per-tile quadratic
+forms p' V p, summed over the lattice by per-axis operators built from the tile
+spacing (`penalty` reads only that spacing from the `VMatrixBank` it is given).
+Sampled numerical counterparts, field-quality metrics, a registration driver,
+and synthetic-data generators round out the toolkit; the `splinereg` command
+exposes everything on the command line.
 """
 
 from .bspline_core import (

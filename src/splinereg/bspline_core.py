@@ -11,7 +11,6 @@ that derivatives come out in physical units (per mm) directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,8 +27,8 @@ BASIS_COEFFS.setflags(write=False)
 
 MIN_TILE_SPACING = 1e-6  # mm; below this the 1/r^3 scaling is meaningless
 
-# Small relative slack when classifying points against the grid extent, so that
-# points computed as `origin + n * spacing` land inside despite rounding.
+# Relative slack, in tile units, when classifying points against the grid extent,
+# so that points computed as `origin + n * spacing` land inside despite rounding.
 _EXTENT_SLACK = 1e-9
 
 _SLAB_POINTS = 32768  # sample points per slab: a slab's temporaries stay in cache
@@ -50,6 +49,13 @@ def _derivative_matrix(order: int) -> np.ndarray:
 DERIVATIVE_MATRICES = tuple(_derivative_matrix(d) for d in range(4))
 for _m in DERIVATIVE_MATRICES:
     _m.setflags(write=False)
+
+
+def _within_extent(s, count):
+    """Whether tile-unit coordinates s = (x - origin) / spacing lie in [0, count]:
+    the one extent rule, shared by `GridGeometry.contains` and evaluation."""
+    slack = _EXTENT_SLACK * np.maximum(1.0, np.abs(s))
+    return (s >= -slack) & (s <= count + slack)
 
 
 def _triple(value, name: str, dtype=float) -> tuple:
@@ -109,12 +115,9 @@ class GridGeometry:
 
     def contains(self, points):
         """Whether a point, or each point of a (..., 3) array, lies inside the
-        extent (within a small rounding slack)."""
-        p = np.asarray(points, dtype=float)
-        lo = np.array(self.origin)
-        hi = lo + np.array(self.extent)
-        slack = _EXTENT_SLACK * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        return np.all((p >= lo - slack) & (p <= hi + slack), axis=-1)
+        extent (within a small rounding slack in tile units)."""
+        s = (np.asarray(points, dtype=float) - self.origin) / self.tile_spacing
+        return np.all(_within_extent(s, np.array(self.tile_counts)), axis=-1)
 
 
 class ControlPointGrid:
@@ -160,12 +163,9 @@ def eval_basis(u: float, piece: int, order: int = 0) -> float:
     """Order-th derivative with respect to u of basis piece `piece` at u in [0, 1]."""
     if not 0 <= piece <= 3:
         raise ValueError(f"basis piece must be in 0..3, got {piece}")
-    if not 0 <= order <= 3:
-        raise ValueError(f"derivative order must be in 0..3, got {order}")
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u}")
-    poly = BASIS_COEFFS[piece] @ DERIVATIVE_MATRICES[order]
-    return float(poly @ np.array([1.0, u, u * u, u ** 3]))
+    return float(build_q(1.0, order)[piece] @ np.array([1.0, u, u * u, u ** 3]))
 
 
 def build_q(spacing: float, order: int) -> np.ndarray:
@@ -191,8 +191,7 @@ def _locate_axis(geometry: GridGeometry, axis: int, values) -> tuple:
     count = geometry.tile_counts[axis]
     v = np.asarray(values, dtype=float)
     s = (v - origin) / spacing
-    slack = _EXTENT_SLACK * np.maximum(1.0, np.abs(s))
-    outside = ~((s >= -slack) & (s <= count + slack))
+    outside = ~_within_extent(s, count)
     if np.any(outside):
         raise ValueError(
             f"point coordinate {v[outside].flat[0]} outside grid extent "
@@ -224,25 +223,39 @@ def _axis_weights(geometry: GridGeometry, axis: int, u, order: int) -> np.ndarra
     return np.stack([np.ones_like(x), x, x ** 2, x ** 3], axis=-1) @ q.T
 
 
-def eval_displacement(grid: ControlPointGrid, points) -> np.ndarray:
-    """Displacement vectors (mm) at physical points inside the grid extent.
+def _support_indices(geometry: GridGeometry, t1, t2, t3) -> np.ndarray:
+    """(..., 64) flat lattice indices of the blocks supporting tiles (t1, t2, t3).
+    The one statement of the support layout: entry 16*l + 4*m + n holds offset
+    (l, m, n) from the tile's first control point (third axis fastest), the
+    Kronecker order of the tile operators, so `tile_term` contracts it directly."""
+    _, p2, p3 = geometry.lattice_shape
+    four = np.arange(4)
+    offsets = ((four[:, None, None] * p2 + four[None, :, None]) * p3 + four).ravel()
+    first = (np.asarray(t1, dtype=np.int64) * p2 + t2) * p3 + t3
+    return first[..., None] + offsets
 
-    `points` is a 3-vector or a (..., 3) array; the result has its shape.
-    """
+
+def _eval_points(grid: ControlPointGrid, points, orders: tuple) -> np.ndarray:
+    """(..., 3) mixed partials of the given multi-index of all three components
+    at the points of a 3-vector or (..., 3) array inside the grid extent."""
     geometry = grid.geometry
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1:] != (3,):
         raise ValueError(f"points must have a last axis of 3, got shape {pts.shape}")
     located = [_locate_axis(geometry, d, pts[..., d]) for d in range(3)]
-    w1, w2, w3 = (_axis_weights(geometry, d, u, 0) for d, (_, u) in enumerate(located))
-    (t1, _), (t2, _), (t3, _) = located
-    _, p2, p3 = geometry.lattice_shape
-    four = np.arange(4)
-    support = (four[:, None, None] * p2 + four[None, :, None]) * p3 + four  # (4, 4, 4)
-    first = (t1 * p2 + t2) * p3 + t3
-    block = grid.coefficients.reshape(3, -1)[:, first[..., None, None, None] + support]
+    w1, w2, w3 = (_axis_weights(geometry, d, u, orders[d]) for d, (_, u) in enumerate(located))
+    support = _support_indices(geometry, *(t for t, _ in located))
+    block = grid.coefficients.reshape(3, -1)[:, support].reshape((3,) + pts.shape[:-1] + (4, 4, 4))
     weights = w1[..., :, None, None] * w2[..., None, :, None] * w3[..., None, None, :]
     return np.einsum("...lmn,c...lmn->...c", weights, block)
+
+
+def eval_displacement(grid: ControlPointGrid, points) -> np.ndarray:
+    """Displacement vectors (mm) at physical points inside the grid extent.
+
+    `points` is a 3-vector or a (..., 3) array; the result has its shape.
+    """
+    return _eval_points(grid, points, (0, 0, 0))
 
 
 def _check_multi_index(orders) -> tuple:
@@ -263,44 +276,20 @@ def eval_partial(grid: ControlPointGrid, point, component: int, orders) -> float
     if component not in (1, 2, 3):
         raise ValueError(f"component must be 1, 2 or 3, got {component}")
     idx = _check_multi_index(orders)
-    coord = locate(grid.geometry, point)
-    w1, w2, w3 = (_axis_weights(grid.geometry, d, coord.u[d], idx[d]) for d in range(3))
-    t1, t2, t3 = coord.tile_index
-    block = grid.coefficients[component - 1, t1 : t1 + 4, t2 : t2 + 4, t3 : t3 + 4]
-    return float(np.einsum("l,m,n,lmn->", w1, w2, w3, block))
+    if np.shape(point) != (3,):
+        raise ValueError(f"point must be a 3-vector, got shape {np.shape(point)}")
+    return float(_eval_points(grid, point, idx)[component - 1])
 
 
 def tile_coefficients(grid: ControlPointGrid, tile_index) -> tuple:
-    """The three 64-vectors of coefficients supporting one tile.
-
-    Flattening order is fixed: entry 16*l + 4*m + n holds lattice offset
-    (l, m, n), i.e. the third axis varies fastest. The integrated tile
-    operators use the same Kronecker order, so `tile_term` contracts these
-    vectors directly.
-    """
+    """The three 64-vectors of coefficients supporting one tile, in the
+    flattening order of `_support_indices` (entry 16*l + 4*m + n holds lattice
+    offset (l, m, n), the third axis fastest)."""
     t = tuple(int(i) for i in tile_index)
     counts = grid.geometry.tile_counts
     if len(t) != 3 or any(i < 0 or i >= n for i, n in zip(t, counts)):
         raise IndexError(f"tile index {tile_index} out of range for counts {counts}")
-    block = grid.coefficients[:, t[0] : t[0] + 4, t[1] : t[1] + 4, t[2] : t[2] + 4]
-    flat = block.reshape(3, 64)
-    return flat[0].copy(), flat[1].copy(), flat[2].copy()
-
-
-@lru_cache(maxsize=32)
-def _support_index_map(tile_counts: tuple) -> np.ndarray:
-    n1, n2, n3 = tile_counts
-    p2, p3 = n2 + 3, n3 + 3
-    t1, t2, t3 = np.meshgrid(np.arange(n1), np.arange(n2), np.arange(n3), indexing="ij")
-    tiles = np.stack([t1.ravel(), t2.ravel(), t3.ravel()], axis=1)  # (T, 3)
-    l, m, n = np.meshgrid(np.arange(4), np.arange(4), np.arange(4), indexing="ij")
-    local = np.stack([l.ravel(), m.ravel(), n.ravel()], axis=1)  # (64, 3)
-    idx = (
-        (tiles[:, None, 0] + local[None, :, 0]) * p2 + (tiles[:, None, 1] + local[None, :, 1])
-    ) * p3 + (tiles[:, None, 2] + local[None, :, 2])
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    idx.setflags(write=False)
-    return idx
+    return tuple(grid.coefficients.reshape(3, -1)[:, _support_indices(grid.geometry, *t)])
 
 
 def support_index_map(geometry: GridGeometry) -> np.ndarray:
@@ -309,7 +298,8 @@ def support_index_map(geometry: GridGeometry) -> np.ndarray:
     Tiles are ordered with the third axis fastest; within a tile the 64 entries
     follow the `tile_coefficients` flattening order.
     """
-    return _support_index_map(geometry.tile_counts)
+    tiles = np.ix_(*(np.arange(n) for n in geometry.tile_counts))
+    return _support_indices(geometry, *tiles).reshape(-1, 64)
 
 
 def axis_weight_matrix(geometry: GridGeometry, axis: int, coords, order: int = 0) -> np.ndarray:

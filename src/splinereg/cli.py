@@ -339,7 +339,7 @@ def _run_registration(fixed, moving, config, args) -> dict:
         "stage_stop_reasons": [h.stop_reason for h in histories],
         "stage_evaluations": [h.evaluations for h in histories],
     }
-    if args.landmarks_fixed and args.landmarks_moving:
+    if args.landmarks_fixed:  # the parser requires its pair
         fixed_lms = metrics.read_landmarks(args.landmarks_fixed)
         moving_lms = metrics.read_landmarks(args.landmarks_moving)
         mask = metrics.extent_mask(grid.geometry, fixed_lms)
@@ -359,7 +359,6 @@ def cmd_register(args) -> int:
         reg.RegistrationStage((10.0,) * 3, 60, 1),
     )
     optimizer = reg.OptimizerSettings(
-        history_size=args.history_size,
         gradient_tolerance=args.gradient_tolerance,
         step_tolerance=args.step_tolerance,
     )
@@ -409,7 +408,7 @@ def cmd_metrics(args) -> int:
     spec = numeric.SamplingSpec.per_tile((args.jacobian_samples,) * 3)
     _, min_j = metrics.jacobian_map(grid, spec)
     row["min_jacobian"] = min_j
-    if args.landmarks_a and args.landmarks_b:
+    if args.landmarks_a:  # the parser requires its pair
         a = _load_landmarks(args.landmarks_a, args)
         b = _load_landmarks(args.landmarks_b, args)
         if len(a) != len(b):
@@ -552,9 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", default="registered")
     p.add_argument("--landmarks-fixed", help="landmarks in the fixed frame (mm)")
     p.add_argument("--landmarks-moving", help="true corresponding points in the moving frame (mm)")
-    p.add_argument("--history-size", type=_int_at_least(1), default=10)
-    p.add_argument("--gradient-tolerance", type=float, default=1e-4)
-    p.add_argument("--step-tolerance", type=float, default=1e-9)
+    p.add_argument("--gradient-tolerance", type=_weight, default=1e-4)
+    p.add_argument("--step-tolerance", type=_weight, default=1e-9)
     p.add_argument("--sweep-weights", type=_weight_list,
                    help="comma list of weights to sweep, one run each")
     p.add_argument("--sweep-regularizer", choices=analytic.REGULARIZER_NAMES,
@@ -596,8 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar=("N1", "N2", "N3"))
     sp.add_argument("--grid-spacing", type=_spacing, nargs=3, default=(16.0, 16.0, 16.0),
                     metavar=("R1", "R2", "R3"))
-    sp.add_argument("--amplitude", type=float, default=4.0, help="peak displacement (mm)")
-    sp.add_argument("--smoothness", type=float, default=30.0, help="correlation scale (mm)")
+    sp.add_argument("--amplitude", type=_weight, default=4.0, help="peak displacement (mm)")
+    sp.add_argument("--smoothness", type=_weight, default=30.0, help="correlation scale (mm)")
     sp.add_argument("--landmarks", type=_int_at_least(0), default=300)
     sp.add_argument("--out-prefix", dest="out_prefix", default="field")
     _add_seed_flag(sp)
@@ -609,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar=("N1", "N2", "N3"))
     sp.add_argument("--grid-spacing", type=_spacing, nargs=3, default=(10.0, 10.0, 10.0),
                     metavar=("R1", "R2", "R3"))
-    sp.add_argument("--amplitude", type=float, default=1.0)
-    sp.add_argument("--smoothness", type=float, default=0.0,
+    sp.add_argument("--amplitude", type=_weight, default=1.0)
+    sp.add_argument("--smoothness", type=_weight, default=0.0,
                     help="if > 0, blur to this physical scale")
     sp.add_argument("--no-taper", action="store_true", help="skip the boundary taper")
     sp.add_argument("--out", required=True)
@@ -632,6 +630,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "sweep_weights", None) and not args.sweep_regularizer:
         parser.error("--sweep-weights requires --sweep-regularizer")
+    for a, b in (("landmarks_fixed", "landmarks_moving"), ("landmarks_a", "landmarks_b")):
+        if bool(getattr(args, a, None)) != bool(getattr(args, b, None)):
+            parser.error(f"--{a} and --{b} must be given together".replace("_", "-"))
     try:
         return args.func(args)
     except (vio.FormatError, OSError, ValueError, IndexError) as exc:

@@ -28,6 +28,9 @@ from .volume_io import (
 )
 
 
+HISTORY_SIZE = 10  # (s, y) pairs kept by the L-BFGS two-loop recursion
+
+
 @dataclass(frozen=True)
 class RegistrationStage:
     grid_spacing: tuple
@@ -36,8 +39,8 @@ class RegistrationStage:
 
     def __post_init__(self):
         object.__setattr__(self, "grid_spacing", core._triple(self.grid_spacing, "grid_spacing"))
-        if any(s <= 0 for s in self.grid_spacing):
-            raise ValueError(f"grid spacing must be positive, got {self.grid_spacing}")
+        if any(not np.isfinite(s) or s <= 0 for s in self.grid_spacing):
+            raise ValueError(f"grid spacing must be finite and positive, got {self.grid_spacing}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.image_downsample < 1:
@@ -46,13 +49,13 @@ class RegistrationStage:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    history_size: int = 10
     gradient_tolerance: float = 1e-4
     step_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.history_size < 1:
-            raise ValueError("history_size must be >= 1")
+        tolerances = (self.gradient_tolerance, self.step_tolerance)
+        if not all(np.isfinite(t) and t >= 0 for t in tolerances):
+            raise ValueError(f"tolerances must be finite and >= 0, got {tolerances}")
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,7 @@ def _lbfgs(fun, x0: np.ndarray, max_iterations: int, settings: OptimizerSettings
         if sy > 1e-10 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
             s_hist.append(s_vec)
             y_hist.append(y_vec)
-            if len(s_hist) > settings.history_size:
+            if len(s_hist) > HISTORY_SIZE:
                 s_hist.pop(0)
                 y_hist.pop(0)
 

@@ -436,6 +436,8 @@ def make_smooth_grid(
     The blur is `_gaussian_blur` with sigma = smoothness / tile spacing per
     axis, zero padded and truncated at 4 sigma: the numbers of
     `scipy.ndimage.gaussian_filter(mode="constant")`, without importing scipy."""
+    if not np.isfinite(smoothness) or smoothness < 0:
+        raise ValueError(f"smoothness must be finite and >= 0, got {smoothness}")
     rng = np.random.default_rng(seed)
     shape = geometry.lattice_shape
     sigmas = [smoothness / r for r in geometry.tile_spacing]

@@ -359,17 +359,18 @@ def test_tile_coefficients_out_of_range():
 
 
 def test_support_index_map_matches_tile_coefficients():
-    grid = random_grid((3, 2, 4), (10.0, 10.0, 10.0), seed=14)
-    gmap = core.support_index_map(grid.geometry)
-    flat = grid.coefficients[0].ravel()
-    n1, n2, n3 = grid.geometry.tile_counts
-    t = 0
-    for t1 in range(n1):
-        for t2 in range(n2):
-            for t3 in range(n3):
-                p1, _, _ = core.tile_coefficients(grid, (t1, t2, t3))
-                np.testing.assert_array_equal(flat[gmap[t]], p1)
-                t += 1
+    for grid in (random_grid((3, 2, 4), (10.0, 10.0, 10.0), seed=14),
+                 random_grid((1, 3, 2), (6.0, 10.0, 4.0), seed=15, origin=(-3.0, 2.0, 5.0))):
+        gmap = core.support_index_map(grid.geometry)
+        flat = grid.coefficients[0].ravel()
+        n1, n2, n3 = grid.geometry.tile_counts
+        t = 0
+        for t1 in range(n1):
+            for t2 in range(n2):
+                for t3 in range(n3):
+                    p1, _, _ = core.tile_coefficients(grid, (t1, t2, t3))
+                    np.testing.assert_array_equal(flat[gmap[t]], p1)
+                    t += 1
 
 
 # ---------------------------------------------------------------------------

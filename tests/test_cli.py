@@ -350,7 +350,7 @@ def test_register_nan_volume_is_a_data_error(tmp_path, capsys):
     ("register", "--fixed", "f.vol", "--moving", "m.vol", "--third-order", "inf"),
     ("register", "--fixed", "f.vol", "--moving", "m.vol", "--sweep-weights", "1e-3,-1",
      "--sweep-regularizer", "curvature"),
-    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--history-size", "0"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--stage", "nan:2"),
     ("metrics", "--grid", "g.bspg", "--jacobian-samples", "0"),
     ("penalty", "--grid", "g.bspg", "--method", "quadrature", "--samples-per-tile", "0"),
     ("penalty", "--grid", "g.bspg", "--method", "numeric", "--voxel-spacing", "0", "2", "2"),
@@ -361,6 +361,18 @@ def test_register_nan_volume_is_a_data_error(tmp_path, capsys):
     ("synth", "phantom", "--dims", "8", "-1", "8", "--out", "p.vol"),
     ("synth", "field", "--tiles", "0", "2", "2"),
     ("synth", "field", "--landmarks", "-3"),
+    ("synth", "field", "--smoothness", "inf"),
+    ("synth", "grid", "--smoothness", "inf", "--out", "g.bspg"),
+    ("synth", "field", "--amplitude", "-1"),
+    ("synth", "grid", "--amplitude", "nan", "--out", "g.bspg"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--stage", "inf:2"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--gradient-tolerance", "nan"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--step-tolerance", "-5"),
+    # a landmark file without its partner is a usage error, not silently ignored
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--landmarks-fixed", "f.lmk"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--landmarks-moving", "m.lmk"),
+    ("metrics", "--grid", "g.bspg", "--landmarks-a", "a.lmk"),
+    ("metrics", "--grid", "g.bspg", "--landmarks-b", "b.lmk"),
 ])
 def test_thread_flag_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:

@@ -139,6 +139,35 @@ def test_warp_reports_out_of_extent_indices():
     assert len(kept) == 1
 
 
+def test_extent_mask_keeps_exactly_what_evaluation_accepts_far_from_the_origin():
+    # far from the origin a slack in mm and one in tile units disagree by
+    # ~5e-7 mm; both checks must apply the same rule
+    grid = random_grid((3, 2, 4), (10.0, 12.0, 8.0), seed=16, origin=(-500.0, -500.0, -500.0))
+    geom = grid.geometry
+    lo, hi = np.array(geom.origin), np.array(geom.far_corner())
+    pts = []
+    for axis in range(3):
+        for face in (lo[axis], hi[axis]):
+            for offset in (1e-8, 1e-7, 3e-7, 1e-6):
+                for sign in (-1.0, 1.0):
+                    p = 0.5 * (lo + hi)
+                    p[axis] = face + sign * offset
+                    pts.append(p)
+    landmarks = fm.LandmarkSet(points=np.array(pts))
+
+    def accepted(p):
+        try:
+            core.eval_displacement(grid, p)
+        except ValueError:
+            return False
+        return True
+
+    mask = fm.extent_mask(geom, landmarks)
+    np.testing.assert_array_equal(mask, [accepted(p) for p in landmarks.points])
+    assert 0 < mask.sum() < len(mask)
+    assert len(fm.warp_landmarks(grid, landmarks.select(mask))) == mask.sum()
+
+
 def test_mls_basics():
     a = fm.LandmarkSet(points=[[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     assert fm.mls(a, a) == 0.0

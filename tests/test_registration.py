@@ -264,6 +264,18 @@ def test_config_validation():
         reg.RegistrationStage((0.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: reg.RegistrationStage((np.nan, 8.0, 8.0)),
+    lambda: reg.RegistrationStage((np.inf,) * 3),
+    lambda: reg.OptimizerSettings(gradient_tolerance=np.nan),
+    lambda: reg.OptimizerSettings(step_tolerance=-5.0),
+    lambda: reg.OptimizerSettings(gradient_tolerance=np.inf),
+], ids=["stage-nan", "stage-inf", "gradient-nan", "step-negative", "gradient-inf"])
+def test_stage_and_optimizer_settings_reject_non_finite_or_negative(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_optimize_identical_images_stays_near_identity():
     vol = blob_volume(dims=(20, 20, 20), seed=10)
     config = reg.RegistrationConfig(

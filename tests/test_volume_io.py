@@ -163,6 +163,13 @@ def test_ground_truth_amplitude_precondition():
         vio.make_ground_truth_field(geom, amplitude=10.0, smoothness=20.0)
 
 
+@pytest.mark.parametrize("smoothness", [np.inf, np.nan, -1.0])
+def test_smooth_grid_rejects_bad_smoothness(smoothness):
+    geom = core.GridGeometry((4, 4, 4), (10, 10, 10))
+    with pytest.raises(ValueError):
+        vio.make_smooth_grid(geom, amplitude=1.0, smoothness=smoothness)
+
+
 # Coefficient lattices (tiles + 3 per axis) and blur sigmas (smoothness over
 # tile spacing) that the benchmark workloads, `splinereg bench` and the
 # acceptance suite's registration draw.

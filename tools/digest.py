@@ -68,6 +68,22 @@ off_knot = [[np.linspace(o + 0.31 * r, o + e - 0.53 * r, 2 * n + 3)  # no sample
              for o, e, r, n in zip(geo.origin, geo.extent, geo.tile_spacing, geo.tile_counts)]
             for geo in (g.geometry for g in grids)]
 show("sample_displacement", *[core.sample_displacement(g, axes) for g, axes in zip(grids, off_knot)])
+prng = np.random.default_rng(1)
+points = []  # per grid: scattered points, the 8 corners, and points on each face
+for geo in (g.geometry for g in grids):
+    lo, hi = np.array(geo.origin), np.array(geo.far_corner())
+    on_faces = prng.uniform(lo, hi, size=(6, 5, 3))
+    for f in range(6):
+        on_faces[f, :, f % 3] = (lo, hi)[f // 3][f % 3]
+    corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(3, 8).T
+    points.append(np.concatenate([prng.uniform(lo, hi, size=(250, 3)), corners, on_faces.reshape(-1, 3)]))
+show("eval_displacement", *[core.eval_displacement(g, p) for g, p in zip(grids, points)])
+multi = [o for o in np.ndindex(4, 4, 4) if sum(o) <= 3]  # the 20 multi-indices
+show("eval_partial", *[core.eval_partial(g, q, c, o) for g, p in zip(grids, points)
+                       for q in p[240:] for c in (1, 2, 3) for o in multi])  # 10 scattered, corners, faces
+show("eval_basis", *[core.eval_basis(u, k, o) for u in np.linspace(0, 1, 13) for k in range(4) for o in range(4)])
+show("tile_layout", *[x for g in grids for x in (core.support_index_map(g.geometry), *[
+    v for t in np.ndindex(*g.geometry.tile_counts) for v in core.tile_coefficients(g, t)])])
 for g, geo in ((g, g.geometry) for g in grids[4:]):
     axes = [np.linspace(o, o + e, 3 * n + 2) for o, e, n in zip(geo.origin, geo.extent, geo.tile_counts)]
     fits.append(sr.fit_grid_to_field(geo, axes, core.sample_displacement(g, axes)).coefficients)
