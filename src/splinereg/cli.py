@@ -325,7 +325,7 @@ def _parse_stage(text: str) -> reg.RegistrationStage:
         ) from None
 
 
-def _run_registration(fixed, moving, config, args) -> dict:
+def _run_registration(fixed, moving, config, landmarks) -> dict:
     grid, histories = reg.optimize(fixed, moving, config)
     warped = vio.warp_volume(moving, grid, fixed)
     final_mse, _ = reg.mse_cost_grad(fixed, moving, grid)  # hull-faded samples, as optimized
@@ -339,15 +339,9 @@ def _run_registration(fixed, moving, config, args) -> dict:
         "stage_stop_reasons": [h.stop_reason for h in histories],
         "stage_evaluations": [h.evaluations for h in histories],
     }
-    if args.landmarks_fixed:  # the parser requires its pair
-        fixed_lms = metrics.read_landmarks(args.landmarks_fixed)
-        moving_lms = metrics.read_landmarks(args.landmarks_moving)
-        mask = metrics.extent_mask(grid.geometry, fixed_lms)
-        dropped = int(len(fixed_lms) - int(mask.sum()))
-        warped_lms = metrics.warp_landmarks(grid, fixed_lms.select(mask))
-        out["mls"] = metrics.mls(warped_lms, moving_lms.select(mask))
-        out["mls_identity"] = metrics.mls(fixed_lms.select(mask), moving_lms.select(mask))
-        out["dropped_landmarks"] = dropped
+    if landmarks is not None:
+        fit, kept_fixed, _, kept_moving = _landmark_fit(grid, *landmarks)
+        out.update(fit, mls_identity=metrics.mls(kept_fixed, kept_moving))
     return out, grid, warped
 
 
@@ -363,6 +357,10 @@ def cmd_register(args) -> int:
         step_tolerance=args.step_tolerance,
     )
 
+    landmarks = None
+    if args.landmarks_fixed:  # the parser requires its pair; read before the long run
+        landmarks = _landmark_pair(metrics.read_landmarks(args.landmarks_fixed),
+                                   metrics.read_landmarks(args.landmarks_moving))
     sweep = args.sweep_weights or [None]
 
     rows = []
@@ -375,7 +373,7 @@ def cmd_register(args) -> int:
             )
         config = reg.RegistrationConfig(stages=stages, weights=weights, optimizer=optimizer)
         _note(f"registering with weights {weights}")
-        result, grid, warped = _run_registration(fixed, moving, config, args)
+        result, grid, warped = _run_registration(fixed, moving, config, landmarks)
         row = {"command": "register", **result}
         if sweep_value is not None:
             row["sweep_regularizer"] = args.sweep_regularizer
@@ -393,6 +391,26 @@ def cmd_register(args) -> int:
 # metrics
 # ---------------------------------------------------------------------------
 
+def _landmark_pair(a: metrics.LandmarkSet, b: metrics.LandmarkSet) -> tuple:
+    """(a, b), checked to pair point for point."""
+    if len(a) != len(b):
+        raise ValueError(f"landmark sets differ in length: {len(a)} vs {len(b)}")
+    return a, b
+
+
+def _landmark_fit(grid, a: metrics.LandmarkSet, b: metrics.LandmarkSet) -> tuple:
+    """Warp the landmarks of `a` inside the grid's extent through the grid.
+
+    Returns the row fields `dropped_landmarks` and `mls` (against the partners
+    in `b`), then the kept points of `a`, their warps and their partners.
+    """
+    mask = metrics.extent_mask(grid.geometry, a)
+    kept_a, kept_b = a.select(mask), b.select(mask)
+    warped = metrics.warp_landmarks(grid, kept_a)
+    fit = {"dropped_landmarks": int(len(a) - int(mask.sum())), "mls": metrics.mls(warped, kept_b)}
+    return fit, kept_a, warped, kept_b
+
+
 def _load_landmarks(path, args) -> metrics.LandmarkSet:
     lms = metrics.read_landmarks(path)
     if args.landmark_voxel_spacing:
@@ -409,15 +427,11 @@ def cmd_metrics(args) -> int:
     _, min_j = metrics.jacobian_map(grid, spec)
     row["min_jacobian"] = min_j
     if args.landmarks_a:  # the parser requires its pair
-        a = _load_landmarks(args.landmarks_a, args)
-        b = _load_landmarks(args.landmarks_b, args)
-        if len(a) != len(b):
-            raise ValueError(f"landmark sets differ in length: {len(a)} vs {len(b)}")
-        mask = metrics.extent_mask(grid.geometry, a)
-        row["dropped_landmarks"] = int(len(a) - int(mask.sum()))
-        warped = metrics.warp_landmarks(grid, a.select(mask))
-        row["mls"] = metrics.mls(warped, b.select(mask))
-        sep = np.linalg.norm(warped.points - b.select(mask).points, axis=1)
+        a, b = _landmark_pair(_load_landmarks(args.landmarks_a, args),
+                              _load_landmarks(args.landmarks_b, args))
+        fit, _, warped, kept_b = _landmark_fit(grid, a, b)
+        row.update(fit)
+        sep = np.linalg.norm(warped.points - kept_b.points, axis=1)
         if len(sep):
             row["separation_p50"] = float(np.percentile(sep, 50))
             row["separation_p95"] = float(np.percentile(sep, 95))
@@ -628,9 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sweep_weights", None) and not args.sweep_regularizer:
-        parser.error("--sweep-weights requires --sweep-regularizer")
-    for a, b in (("landmarks_fixed", "landmarks_moving"), ("landmarks_a", "landmarks_b")):
+    if getattr(args, "dump_gradient", None) and args.method != "analytic":
+        parser.error("--dump-gradient requires --method analytic")
+    pairs = (("sweep_weights", "sweep_regularizer"), ("landmarks_fixed", "landmarks_moving"),
+             ("landmarks_a", "landmarks_b"))
+    for a, b in pairs:
         if bool(getattr(args, a, None)) != bool(getattr(args, b, None)):
             parser.error(f"--{a} and --{b} must be given together".replace("_", "-"))
     try:

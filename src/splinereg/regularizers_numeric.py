@@ -1,30 +1,20 @@
 """Sampled numerical penalties: the validation oracle and the speedup baseline.
 
-Two routes are provided. `fd_penalty` mirrors the conventional numerical
-approach: sample the displacement field densely, take finite differences of
-the samples, square/multiply, and sum times cell volume. `quadrature_penalty`
-is the stronger oracle: the derivatives at every tile's cell centers are
-exact (separable contractions with basis-derivative weights), so only the
-midpoint integration is approximate and the error shrinks as O(h^2) toward
-the closed-form values.
+Two routes sample the five penalty definitions of the analytic module.
+`fd_penalty` is the conventional numerical baseline: it samples each
+displacement component densely, takes central finite differences of the
+samples and sums their squares times the cell volume. `quadrature_penalty` is
+the stronger oracle: the derivatives at every tile's cell centers are exact
+(separable contractions with basis-derivative weights), so only the midpoint
+integration is approximate and the error shrinks as O(h^2) toward the
+closed-form values.
 
-`fd_penalty` samples each displacement component whole, but no derivative of
-it is ever a whole volume (except the three that S3 multiplies pairwise): each
-is taken over cache-sized slabs of rows (`core._slabs`) by stencils that run as
-one contiguous ufunc pass over the C-order flat samples, at the flat offset of
-one step along their axis. Such a stencil wraps round at the faces normal to
-its axis, so its entries within its half-width of those faces (two samples for
-a third difference, one otherwise) are garbage; the margin that skip-boundary
-drops, or the edge padding under clamp, keeps them out of every sum. Each
-slab's squares land in one interior-shaped buffer that is summed whole, so
-every term is bitwise equal to the sum over the interior of the whole-volume
-derivative.
-
-Both compute the same five penalty definitions as the analytic module, written
-here as the ordered sums over components and derivative directions so the
-analytic multiplicity bookkeeping is checked rather than shared: both count
-each distinct derivative's multiplicity from the ordered direction tuples
-(`_penalty_sums`) instead of reading the analytic tables.
+Both are plain loops over the ordered sums of `_uses`, which counts each
+distinct derivative's multiplicity from the ordered direction tuples instead
+of reading the analytic tables, so the analytic multiplicities are checked
+rather than shared. `fd_penalty` takes every derivative but S3's three
+diagonal first derivatives in cache-sized slabs (`_square_sum`), by the
+flat-offset stencil of `_derivative`, and sums no entry of its garbage margin.
 """
 
 from __future__ import annotations
@@ -117,51 +107,34 @@ def dense_field(grid: core.ControlPointGrid, spec: SamplingSpec) -> Volume:
     return Volume(data=data, spacing=steps, origin=origin)
 
 
-def _central1(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """First central difference along `axis`, as one contiguous ufunc pass.
-
-    The stencil runs on the C-order flat samples with the flat offset k of one
-    step along `axis`, so an entry on a face normal to `axis` takes its
-    neighbours from the adjacent row: entries within one sample of those faces
-    are garbage (finite; the first and last k flat entries are 0).
-    """
-    a = np.ravel(arr)
-    k = math.prod(arr.shape[axis + 1:])
-    out = np.empty_like(a)
-    mid = out[k:-k]
-    np.subtract(a[2 * k:], a[:-2 * k], out=mid)
-    np.divide(mid, 2.0 * h, out=mid)
-    out[:k] = out[-k:] = 0.0
-    return out.reshape(arr.shape)
-
-
-def _central2(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second central difference along `axis`, flat and with garbage margins as
-    `_central1`. The steps keep the order of (hi - 2 mid + lo) / h^2."""
-    a = np.ravel(arr)
-    k = math.prod(arr.shape[axis + 1:])
-    out = np.empty_like(a)
-    mid = out[k:-k]
-    np.multiply(a[k:-k], 2.0, out=mid)
-    np.subtract(a[2 * k:], mid, out=mid)
-    np.add(mid, a[:-2 * k], out=mid)
-    np.divide(mid, h * h, out=mid)
-    out[:k] = out[-k:] = 0.0
-    return out.reshape(arr.shape)
-
-
 def _derivative(arr: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
     """The order-th central difference along `axis` (order 0 returns `arr`).
 
-    Third order nests a first difference over the second difference, so its
-    garbage margin is 2 samples wide; the others' is (order + 1) // 2.
+    Each difference runs as contiguous ufunc passes over the C-order flat
+    samples at the flat offset k of one step along `axis`; the second keeps
+    the order of (hi - 2 mid + lo) / h^2, and the third nests a first
+    difference over the second. So an entry within the stencil's half-width,
+    (order + 1) // 2 samples, of a face normal to `axis` takes its neighbours
+    from an adjacent row: it is garbage (finite; the first and last k flat
+    entries are 0), and no caller sums it.
     """
     if order == 0:
         return arr
+    a = np.ravel(arr)
+    k = math.prod(arr.shape[axis + 1:])
+    out = np.empty_like(a)
+    mid = out[k:-k]
     if order == 1:
-        return _central1(arr, axis, h)
-    second = _central2(arr, axis, h)
-    return second if order == 2 else _central1(second, axis, h)
+        np.subtract(a[2 * k:], a[:-2 * k], out=mid)
+        np.divide(mid, 2.0 * h, out=mid)
+    else:
+        np.multiply(a[k:-k], 2.0, out=mid)
+        np.subtract(a[2 * k:], mid, out=mid)
+        np.add(mid, a[:-2 * k], out=mid)
+        np.divide(mid, h * h, out=mid)
+    out[:k] = out[-k:] = 0.0
+    out = out.reshape(arr.shape)
+    return _derivative(out, axis, 1, h) if order == 3 else out
 
 
 def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndarray) -> float:
@@ -188,16 +161,6 @@ def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndar
     return np.sum(buf)
 
 
-def _ordered_multiplicities(order: int) -> dict:
-    """Distinct derivative multi-indices of total `order`, each with the number
-    of ordered direction tuples (j, k, ...) that produce it."""
-    counts: dict = {}
-    for dirs in itertools.product(range(3), repeat=order):
-        delta = tuple(dirs.count(a) for a in range(3))
-        counts[delta] = counts.get(delta, 0) + 1
-    return counts
-
-
 def _interior(shape, margin: int) -> tuple:
     """Shape of the samples at least `margin` from every face of a block."""
     inner = tuple(s - 2 * margin for s in shape)
@@ -208,64 +171,39 @@ def _interior(shape, margin: int) -> tuple:
     return inner
 
 
-def _penalty_sums(wanted, r3, derivatives) -> np.ndarray:
-    """The wanted S1..S5 as sample sums (others zero), before the cell volume.
+def _uses(wanted) -> dict:
+    """Each multi-index the wanted S1..S5 square -> {regularizer: multiplicity}.
 
-    The ordered sums over directions, with each distinct derivative taken
-    once and weighted by how many ordered direction tuples produce it: S1 and
-    S3 square first derivatives (j), S2 second (j, k), S4 third (j, k, q); S5
-    squares the field itself. `derivatives(c, deltas, keep)` yields
-    (delta, s, values) for component c in the order it chooses: s is the sum of
-    squares of that derivative over the samples its regularizers sum, and
-    `values` is the derivative itself for delta == keep, else None. S3 adds
-    the sums over `r3` of the products of the three diagonal first
-    derivatives d nu_c / d x_c, kept this way.
+    The penalties are ordered sums over components and derivative directions:
+    S1 and S3 square first derivatives (j), S2 second (j, k), S4 third
+    (j, k, q); S5 squares the field itself. Each distinct derivative is taken
+    once, weighted by the number of ordered direction tuples that produce it.
     """
-    uses: dict = {}  # multi-index -> [(regularizer, multiplicity)]
+    uses: dict = {}
     for n, order in enumerate(_ORDERS):
         if n in wanted:
-            for delta, mult in _ordered_multiplicities(order).items():
-                uses.setdefault(delta, []).append((n, mult))
+            for dirs in itertools.product(range(3), repeat=order):
+                counts = uses.setdefault(tuple(dirs.count(a) for a in range(3)), {})
+                counts[n] = counts.get(n, 0) + 1
+    return uses
 
-    out = np.zeros(5)
-    diag = []
-    for c in range(3):
-        keep = tuple(1 if a == c else 0 for a in range(3)) if 2 in wanted else None
-        for delta, s, values in derivatives(c, tuple(uses), keep):
-            for n, mult in uses[delta]:
-                out[n] += mult * s
-            if values is not None:
-                diag.append(values)
 
-    if 2 in wanted:
-        # S3 adds the three divergence-style cross products of distinct
-        # diagonal first derivatives, each once
-        for a in range(3):
-            for b in range(a + 1, 3):
-                out[2] += np.sum((diag[a] * diag[b])[r3])
-    return out
+def _add_cross(out: np.ndarray, diag, region):
+    """Add S3's cross products of the distinct diagonal first derivatives
+    d nu_c / d x_c in `diag`, each once, summed over `region`."""
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        out[2] += np.sum((diag[a] * diag[b])[region])
 
 
 def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
     """Finite-difference penalties over a dense sampling of the field.
 
-    Each displacement component is sampled whole as one contiguous volume in
-    turn (edge-padded by 2 under clamp) and differentiated by tensor-product
-    central stencils, third order along an axis nesting a first difference
-    over the second difference (half-width 2, error O(h^2)). Apart from S3's
-    three diagonal first derivatives d nu_c / d x_c, which stay whole
-    volumes, every derivative is evaluated in cache-sized slabs of rows
-    (`_square_sum`) by flat-offset stencils whose entries near the faces
-    normal to their axis are garbage, and those entries are never summed.
-    With skip-boundary, each regularizer sums only samples whose stencils stay
-    inside the block, a margin of (order + 1) // 2 samples; with clamp, the
-    padding absorbs the stencils so every sample contributes. Requires at
-    least 4 samples per tile per axis so the stencils resolve the
-    piecewise-cubic structure. The result has no gradient.
-
-    `terms` optionally restricts which of S1..S5 are computed (0-based
-    indices); the rest stay zero. Benchmarks use this to time one regularizer
-    at a time.
+    Central differences (`_derivative`, error O(h^2)) of the samples, squared
+    and summed times the cell volume. With skip-boundary each regularizer
+    sums only the samples whose stencils stay inside the sampled block; with
+    clamp the block is edge-padded by 2 and every sample contributes. Needs at
+    least 4 samples per tile per axis. `terms` optionally restricts which of
+    S1..S5 (0-based) are computed; the rest stay zero. No gradient.
     """
     wanted = frozenset(range(5)) if terms is None else frozenset(int(t) for t in terms)
     axes, steps = sample_axes(grid.geometry, spec)
@@ -278,35 +216,32 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
 
     clamp = spec.boundary_policy == "clamp"
     block = tuple(len(a) + (4 if clamp else 0) for a in axes)
-
-    def margin(order: int) -> int:
-        # clamp's edge padding of 2 absorbs every stencil; skip-boundary drops
-        # the widest per-axis stencil half-width among the derivatives of that
-        # order, reached with the whole order on one axis
-        return 2 if clamp else (order + 1) // 2
-
+    # per derivative order: clamp's edge padding of 2 absorbs every stencil;
+    # skip-boundary drops the widest per-axis stencil half-width of that order
+    margin = [2 if clamp else (order + 1) // 2 for order in range(4)]
     # one scratch buffer for every derivative's squares, sized for the widest
     # interior any wanted regularizer sums (checked here, before sampling)
-    size = max((math.prod(_interior(block, margin(_ORDERS[n]))) for n in wanted), default=0)
+    size = max((math.prod(_interior(block, margin[_ORDERS[n]])) for n in wanted), default=0)
     squares = np.empty(size)
 
-    def derivatives(c, deltas, keep):
+    uses = _uses(wanted)
+    out = np.zeros(5)
+    diag = []
+    for c in range(3):
         samples = core.sample_partial(grid, axes, c + 1, (0, 0, 0))
         if clamp:
             samples = np.pad(samples, 2, mode="edge")
         # lexicographic, the order the terms have always accumulated in: it
         # fixes their last bits
-        for delta in sorted(deltas):
-            s = _square_sum(samples, delta, steps, margin(sum(delta)), squares)
-            values = None
-            if delta == keep:
-                values = samples
-                for axis in range(3):
-                    values = _derivative(values, axis, delta[axis], steps[axis])
-            yield delta, s, values
-
-    r3 = (slice(margin(1), -margin(1)),) * 3
-    out = _penalty_sums(wanted, r3, derivatives)
+        for delta in sorted(uses):
+            s = _square_sum(samples, delta, steps, margin[sum(delta)], squares)
+            for n, mult in uses[delta].items():
+                out[n] += mult * s
+        if 2 in wanted:
+            diag.append(_derivative(samples, c, 1, steps[c]))
+        del samples  # freed before the next component is sampled
+    if 2 in wanted:
+        _add_cross(out, diag, (slice(margin[1], -margin[1]),) * 3)
     out *= float(np.prod(steps))
     return PenaltyResult(value=float(weights.as_array() @ out), terms=out, gradient=None)
 
@@ -328,14 +263,21 @@ def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyResult:
     geometry = grid.geometry
     axes, _ = sample_axes(geometry, spec)
     ws = [[core.axis_weight_matrix(geometry, d, axes[d], o) for o in range(4)] for d in range(3)]
+    uses = _uses(range(5))
     terms = np.zeros(5)
     for part in core._slabs(tuple(len(a) for a in axes)):
-        def derivatives(c, deltas, keep, part=part):
-            for delta in deltas:
+        out = np.zeros(5)
+        diag = []
+        for c in range(3):
+            for delta, counts in uses.items():
                 w1, w2, w3 = (ws[d][delta[d]] for d in range(3))
                 d = core._contract(grid.coefficients[c], w1[part], w2, w3)
-                yield delta, np.sum(d ** 2), d if delta == keep else None
-
-        terms += _penalty_sums(range(5), (slice(None),) * 3, derivatives)
+                s = np.sum(d ** 2)
+                for n, mult in counts.items():
+                    out[n] += mult * s
+                if delta[c] == sum(delta) == 1:  # d nu_c / d x_c
+                    diag.append(d)
+        _add_cross(out, diag, ...)
+        terms += out
     terms *= float(np.prod(geometry.tile_spacing)) / float(np.prod(spt))
     return PenaltyResult(value=float(weights.as_array() @ terms), terms=terms, gradient=None)

@@ -294,6 +294,32 @@ def test_register_weight_sweep(tmp_path, capsys):
     assert all(r["sweep_regularizer"] == "curvature" for r in rows)
 
 
+@pytest.mark.parametrize("moving_landmarks", ["1 1 1\n", None], ids=["unequal-counts", "missing-file"])
+def test_register_checks_landmarks_before_optimizing(tmp_path, capsys, monkeypatch, moving_landmarks):
+    """A landmark pair that cannot be scored is a data error found before the
+    registration runs, not after it."""
+    from splinereg import registration as reg
+
+    def optimize(*args, **kwargs):
+        raise AssertionError("registration ran before the landmarks were checked")
+
+    monkeypatch.setattr(reg, "optimize", optimize)
+    volume = vio.make_phantom("blobs", (8, 8, 8), (2.0, 2.0, 2.0), seed=3)
+    for name in ("f.vol", "m.vol"):
+        vio.write_volume(volume, tmp_path / name)
+    (tmp_path / "f.lmk").write_text("1 1 1\n2 2 2\n")
+    if moving_landmarks is not None:
+        (tmp_path / "m.lmk").write_text(moving_landmarks)
+    code, _, err = run_cli(
+        capsys, "register", "--fixed", str(tmp_path / "f.vol"), "--moving", str(tmp_path / "m.vol"),
+        "--stage", "8:2:1", "--landmarks-fixed", str(tmp_path / "f.lmk"),
+        "--landmarks-moving", str(tmp_path / "m.lmk"), "--out-prefix", str(tmp_path / "out"),
+    )
+    assert code == 3, err
+    assert "error:" in err
+    assert not (tmp_path / "out.bspg").exists()
+
+
 def test_thread_count_resolution(monkeypatch, capsys):
     from splinereg import _threads
     from splinereg._threads import THREADS_ENV_VAR, resolve_thread_count
@@ -373,6 +399,10 @@ def test_register_nan_volume_is_a_data_error(tmp_path, capsys):
     ("register", "--fixed", "f.vol", "--moving", "m.vol", "--landmarks-moving", "m.lmk"),
     ("metrics", "--grid", "g.bspg", "--landmarks-a", "a.lmk"),
     ("metrics", "--grid", "g.bspg", "--landmarks-b", "b.lmk"),
+    # a flag the chosen path would silently ignore
+    ("penalty", "--grid", "g.bspg", "--method", "numeric", "--dump-gradient", "d.bspg"),
+    ("penalty", "--grid", "g.bspg", "--method", "quadrature", "--dump-gradient", "d.bspg"),
+    ("register", "--fixed", "f.vol", "--moving", "m.vol", "--sweep-regularizer", "curvature"),
 ])
 def test_thread_flag_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:

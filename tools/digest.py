@@ -102,11 +102,16 @@ for t, o, v in (((9, 4, 5), (-5.0, 3.0, 1.0), (2.0, 2.0, 2.0)), ((8, 5, 6), (0, 
 show("fd_penalty_slabs", *[sr.fd_penalty(g, weights[0], s).terms for g, s in slabbed])
 show("fd_penalty_slabs_single_term", *[sr.fd_penalty(g, weights[0], s, terms=[n]).terms
                                        for g, s in slabbed for n in range(5)])
+show("fd_penalty_slabs_mixed_terms", *[sr.fd_penalty(g, weights[0], s, terms=t).terms  # S3 with others
+                                      for g, s in slabbed for t in ([0, 2], [1, 2, 3], [2, 4])])
 fields = [sr.dense_field(g, s) for g in smooth
           for s in (sr.SamplingSpec.voxel_grid((2.0, 2.5, 1.5)), sr.SamplingSpec.per_tile((5, 4, 6)))]
 show("dense_field", *[x for v in fields for x in (v.data, v.spacing, v.origin)])
 show("quadrature_penalty", *[sr.quadrature_penalty(g, weights[0], s).terms
                              for g in smooth for s in ((8, 8, 8), (5, 6, 7))])
+off_origin = sr.make_smooth_grid(core.GridGeometry((5, 1, 3), (9.0, 7.0, 11.0), (-6.0, 2.5, 4.0)), 2.0, 15.0, 9)
+show("quadrature_penalty_off_origin", *[sr.quadrature_penalty(off_origin, weights[0], s).terms  # 4 slabs, then 1
+                                        for s in ((12, 20, 30), (3, 2, 5))])
 stages = (sr.RegistrationStage((16.0,) * 3, 6, 1), sr.RegistrationStage((8.0,) * 3, 6, 1))
 final, histories = sr.optimize(*image_pair((32, 32, 32)), sr.RegistrationConfig(stages, weights[1]))
 show("optimize", final.coefficients, *[x for h in histories for x in
