@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -346,6 +347,9 @@ def _run_registration(fixed, moving, config, landmarks) -> dict:
 
 
 def cmd_register(args) -> int:
+    out_dir = Path(args.out_prefix).parent  # the outputs are written only after the long run
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"output directory of --out-prefix does not exist: {out_dir}")
     fixed = vio.read_volume(args.fixed)
     moving = vio.read_volume(args.moving)
     stages = tuple(args.stage) if args.stage else (

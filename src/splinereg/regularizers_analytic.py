@@ -12,6 +12,12 @@ product, so sum_t p_t' (Psi_1 (x) Psi_2 (x) Psi_3) q_t = p' (K_1 (x) K_2 (x)
 K_3) q, where each K_d is an (N_d+3)^2 seven-diagonal matrix assembled from
 the Psi of its axis (sum factorization). Three batched stages of mode
 products then give every term at once, with no per-tile gather or scatter.
+`penalty` runs the three coefficient components through these stages in
+groups whose 20 products fit 2^17 float64 (1 MiB): all three at once on
+lattices of up to 2184 points (9^3 tiles), two up to 3276, else one at a
+time. `penalty_parallel` runs one component per thread. Each matrix product
+is the same for any grouping, so both are bitwise equal at every group size
+and thread count.
 
 Five penalties are assembled:
 
@@ -282,30 +288,48 @@ def _mode_products(vol: np.ndarray, k1, k2, k3) -> np.ndarray:
 
 
 def _component_share(p: np.ndarray, axis_ops, delta_weights, with_gradient: bool) -> tuple:
-    """The same-component squares of one coefficient lattice P.
+    """The same-component squares of a stack of C coefficient lattices P_c.
 
-    X_delta = (K1^(d1,d1) (x) K2^(d2,d2) (x) K3^(d3,d3)) P for all 20 delta,
+    X_delta = (K1^(d1,d1) (x) K2^(d2,d2) (x) K3^(d3,d3)) P_c for all 20 delta,
     from batched mode products along axis 3 (4 orders), axis 2 (10 order
-    pairs) and axis 1 (20 multi-indices). Returns the 20 products
-    <P, X_delta> and, if asked, the gradient sum 2 w_delta X_delta.
+    pairs) and axis 1 (20 multi-indices); each product is the same GEMM for
+    any C, only repeated over the stack. Returns per lattice the 20 products
+    <P_c, X_delta> and, if asked, the gradient sum 2 w_delta X_delta.
     """
-    p1, p2, p3 = p.shape
+    c, p1, p2, p3 = p.shape
     k1, k2, k3 = axis_ops
-    y = np.matmul(p.reshape(p1 * p2, p3), k3[:4]).reshape(4, p1, p2, p3)
-    x = np.empty((len(_DELTAS), p1, p2 * p3))
+    y = np.matmul(p.reshape(c * p1 * p2, p3), k3[:4]).reshape(4, c * p1, p2, p3)
+    x = np.empty((len(_DELTAS), c, p1, p2 * p3))
     k = 0
     for o3 in range(4):
-        z = np.matmul(k2[: 4 - o3, None], y[o3])
+        z = np.matmul(k2[: 4 - o3, None], y[o3]).reshape(4 - o3, c, p1, p2 * p3)
         for o2 in range(4 - o3):
             n = 4 - o2 - o3
-            np.matmul(k1[:n], z[o2].reshape(p1, p2 * p3), out=x[k : k + n])
+            np.matmul(k1[:n, None], z[o2], out=x[k : k + n])
             k += n
-    x = x.reshape(len(_DELTAS), -1)
-    gradient = ((2.0 * delta_weights) @ x).reshape(p.shape) if with_gradient else None
+    x = x.reshape(len(_DELTAS), c, -1)
+    # one GEMV per lattice: over the whole stack, BLAS's row tail would fall
+    # on other entries and change their last bits
+    gradients = [((2.0 * delta_weights) @ x[:, i]).reshape(p1, p2, p3) if with_gradient else None
+                 for i in range(c)]
     # numpy's pairwise summation keeps the rounding of each S local to where
     # P changes, which central differences of the value rely on
-    x *= p.ravel()
-    return x.sum(axis=1), gradient
+    x *= p.reshape(c, -1)
+    return [(x[:, i].sum(axis=1), g) for i, g in enumerate(gradients)]
+
+
+# Components share one `_component_share` pass while their 20 products fit in
+# this many float64 (1 MiB) together: small lattices then pay numpy's per-call
+# overhead once rather than three times, and no pass over a large lattice
+# holds more than one component's products.
+_GROUP_FLOATS = 2 ** 17
+
+
+def _component_groups(lattice_size: int, thread_count: int) -> tuple:
+    """Slices of consecutive components sharing one `_component_share` pass:
+    one per thread task in parallel, else as many as `_GROUP_FLOATS` holds."""
+    size = 1 if thread_count > 1 else max(1, _GROUP_FLOATS // (len(_DELTAS) * lattice_size))
+    return tuple(slice(c, min(c + size, 3)) for c in range(0, 3, size))
 
 
 def _check_bank(grid: core.ControlPointGrid, bank: VMatrixBank):
@@ -354,16 +378,17 @@ def _lattice_penalty(grid, weights, bank, with_gradient: bool, thread_count: int
     warr = weights.as_array()
     delta_weights = _SQUARE_MULTS @ warr
     coeffs = grid.coefficients
+    groups = _component_groups(coeffs[0].size, thread_count)
 
-    def share(c):
-        return _component_share(coeffs[c], axis_ops, delta_weights, with_gradient)
+    def share(group):
+        return _component_share(coeffs[group], axis_ops, delta_weights, with_gradient)
 
     with single_threaded_blas():
         if thread_count == 1:
-            shares = [share(c) for c in range(3)]
+            shares = [pair for g in groups for pair in share(g)]
         else:
             with ThreadPoolExecutor(max_workers=min(thread_count, 3)) as pool:
-                shares = list(pool.map(share, range(3)))
+                shares = [pair for pairs in pool.map(share, groups) for pair in pairs]
 
         terms5 = np.zeros(5)
         for products, _ in shares:

@@ -320,6 +320,28 @@ def test_register_checks_landmarks_before_optimizing(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out.bspg").exists()
 
 
+def test_register_checks_output_directory_before_optimizing(tmp_path, capsys, monkeypatch):
+    """An --out-prefix in a directory that does not exist is a data error
+    found before the registration runs, not after every sweep weight."""
+    from splinereg import registration as reg
+
+    def optimize(*args, **kwargs):
+        raise AssertionError("registration ran before the output directory was checked")
+
+    monkeypatch.setattr(reg, "optimize", optimize)
+    volume = vio.make_phantom("blobs", (8, 8, 8), (2.0, 2.0, 2.0), seed=3)
+    for name in ("f.vol", "m.vol"):
+        vio.write_volume(volume, tmp_path / name)
+    missing = tmp_path / "no" / "such"
+    code, _, err = run_cli(
+        capsys, "register", "--fixed", str(tmp_path / "f.vol"), "--moving", str(tmp_path / "m.vol"),
+        "--stage", "8:2:1", "--sweep-regularizer", "curvature", "--sweep-weights", "1e-3,1e-1",
+        "--out-prefix", str(missing / "out"),
+    )
+    assert code == 3, err
+    assert f"error: output directory of --out-prefix does not exist: {missing}" in err
+
+
 def test_thread_count_resolution(monkeypatch, capsys):
     from splinereg import _threads
     from splinereg._threads import THREADS_ENV_VAR, resolve_thread_count

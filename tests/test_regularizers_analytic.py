@@ -414,6 +414,37 @@ def test_parallel_is_deterministic_for_fixed_thread_count():
     np.testing.assert_array_equal(a.gradient, b.gradient)
 
 
+def _result_bytes(res):
+    return res.value, res.terms.tobytes(), None if res.gradient is None else res.gradient.tobytes()
+
+
+@pytest.mark.parametrize("tiles, sizes", [
+    ((3, 4, 5), [3]),
+    ((10, 10, 10), [2, 1]),  # a 13^3 lattice
+    ((16, 16, 16), [1, 1, 1]),
+    ((1, 6, 5), [3]),  # a single-tile axis
+])
+def test_grouped_components_bitwise_equal_to_one_per_group(tiles, sizes, monkeypatch):
+    """Components sharing one pass of the lattice kernel give the bits each
+    gives alone, and every thread count (one component per task) gives them too."""
+    grid = random_grid(tiles, (8.0, 9.0, 7.5), seed=16)
+    bank = ra.build_vbank(grid.geometry.tile_spacing)
+    weights = ra.RegularizerWeights(0.5, 1.0, 0.25, 2.0, 0.01)
+    lattice_size = grid.coefficients[0].size
+    groups = ra._component_groups(lattice_size, thread_count=1)
+    assert [g.stop - g.start for g in groups] == sizes
+    for with_gradient in (True, False):
+        grouped = ra.penalty(grid, weights, bank, with_gradient=with_gradient)
+        for threads in (1, 2, 3):
+            parallel = ra.penalty_parallel(grid, weights, bank, threads, with_gradient=with_gradient)
+            assert _result_bytes(parallel) == _result_bytes(grouped)
+        with monkeypatch.context() as m:
+            m.setattr(ra, "_GROUP_FLOATS", 1)
+            assert len(ra._component_groups(lattice_size, thread_count=1)) == 3
+            alone = ra.penalty(grid, weights, bank, with_gradient=with_gradient)
+        assert _result_bytes(alone) == _result_bytes(grouped)
+
+
 def test_scale_covariance_against_gauss_oracle():
     grid = random_grid((2, 2, 2), (2.0, 3.0, 5.0), seed=15, scale=2.0)
     bank = ra.build_vbank((2.0, 3.0, 5.0))

@@ -49,6 +49,16 @@ for g in grids:
                 parallel += [r.value, r.terms, r.gradient]
 show("penalty", *serial)
 show("penalty_parallel", *parallel)
+groups = []  # lattices whose components share the lattice kernel's pass in groups of 3, 2 + 1 and 1
+grng = np.random.default_rng(2)
+for tiles, spacing in (((3, 4, 5), (10, 12, 8)), ((10, 10, 10), (8, 9, 7.5)), ((16, 16, 16), (6, 6, 6))):
+    geo = core.GridGeometry(tiles, spacing)
+    g, bank = core.ControlPointGrid(geo, grng.normal(size=(3,) + geo.lattice_shape)), sr.build_vbank(spacing)
+    for w in weights:
+        for grad in (True, False):
+            r = sr.penalty(g, w, bank, with_gradient=grad)
+            groups += [r.value, r.terms, r.gradient]
+show("penalty_groups", *groups)
 bank = sr.build_vbank((10.0, 12.0, 8.0))
 show("vbank", *[str(p) for p in bank.pairs], *[bank.get(p) for p in bank.pairs])
 with tempfile.TemporaryDirectory() as tmp:
