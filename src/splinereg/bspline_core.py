@@ -319,9 +319,9 @@ def axis_weight_matrix(geometry: GridGeometry, axis: int, coords, order: int = 0
     return out
 
 
-def _slabs(shape) -> list:
-    """Slabs of whole first-axis rows of a (S1, S2, S3) grid, ~_SLAB_POINTS points each."""
-    rows = max(1, _SLAB_POINTS // (shape[1] * shape[2]))
+def _slabs(shape, points: int = _SLAB_POINTS) -> list:
+    """Slabs of whole first-axis rows of a (S1, S2, S3) grid, ~`points` points each."""
+    rows = max(1, points // (shape[1] * shape[2]))
     return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
 
 

@@ -343,13 +343,15 @@ def _check_bank(grid: core.ControlPointGrid, bank: VMatrixBank):
 def penalty(
     grid: core.ControlPointGrid,
     weights: RegularizerWeights,
-    bank: VMatrixBank,
+    bank: VMatrixBank | None = None,
     with_gradient: bool = True,
 ) -> PenaltyResult:
     """Weighted smoothness penalty and its gradient over the whole grid.
 
     All five S values are always computed; the gradient covers only terms
-    with nonzero weight. The bank fixes the tile spacing the grid must have.
+    with nonzero weight. The kernel builds its own per-axis operators from
+    the grid's tile spacing; a bank, if given, is only checked to be built
+    for that spacing.
     """
     return _lattice_penalty(grid, weights, bank, with_gradient, thread_count=1)
 
@@ -357,8 +359,8 @@ def penalty(
 def penalty_parallel(
     grid: core.ControlPointGrid,
     weights: RegularizerWeights,
-    bank: VMatrixBank,
-    thread_count: int,
+    bank: VMatrixBank | None = None,
+    thread_count: int = 1,
     with_gradient: bool = True,
 ) -> PenaltyResult:
     """Same contract as `penalty`, with the three coefficient components on up
@@ -372,7 +374,8 @@ def penalty_parallel(
 
 def _lattice_penalty(grid, weights, bank, with_gradient: bool, thread_count: int) -> PenaltyResult:
     """The one kernel behind `penalty` and `penalty_parallel`."""
-    _check_bank(grid, bank)
+    if bank is not None:
+        _check_bank(grid, bank)
     geometry = grid.geometry
     axis_ops = [_axis_operators(r, n) for r, n in zip(geometry.tile_spacing, geometry.tile_counts)]
     warr = weights.as_array()

@@ -193,20 +193,91 @@ def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False)
     return values, np.moveaxis(grads, 0, -1), inside
 
 
+def _cell_of(dims, idx) -> tuple:
+    """Flat index of the base voxel of each point's interpolation cell, and
+    the point's (f1, f2, f3) offsets in [0, 1] within it, at the per-axis voxel
+    indices `idx`. The base is clipped to dims - 2 (0 on a one-voxel axis, and
+    for a NaN index) in floating point, where whole voxel counts are exact, and
+    converted to an integer once, as the flat index."""
+    flat, offsets = 0.0, []
+    for i, n, stride in zip(idx, dims, (dims[1] * dims[2], dims[2], 1)):
+        base = np.floor(i, out=np.empty_like(i))  # an array, also for one point
+        np.fmin(np.fmax(base, 0.0, out=base), max(n - 2, 0), out=base)
+        offsets.append(np.clip(np.subtract(i, base), 0.0, 1.0))
+        flat = np.add(np.multiply(base, stride, out=base), flat, out=base)
+    return flat.astype(np.int64), tuple(offsets)
+
+
+def _forward_difference(src: np.ndarray, axis: int, out: np.ndarray):
+    """out = src[i+1] - src[i] along `axis`, and 0 at its last voxel."""
+    src, out = np.moveaxis(src, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(src[1:], src[:-1], out=out[:-1])
+    out[-1] = 0.0
+
+
+def _cell_polynomials(volume: Volume) -> np.ndarray:
+    """Planar (8, N) table of every voxel's cell polynomial, N voxels in C
+    order: row k holds a_k of the trilinear interpolant on the cell whose base
+    is that voxel, a0 + a1 f1 + a2 f2 + a3 f3 + a4 f1f2 + a5 f1f3 + a6 f2f3 +
+    a7 f1f2f3. Each a_k is a product of forward differences of the image along
+    the axes of its f's, 0 at an axis's last voxel: so a one-voxel axis has
+    no variation along it, as the stride-0 corners of `_cell_trilinear`."""
+    table = np.empty((8,) + volume.dims)
+    table[0] = volume.data
+    for row, src, axis in ((1, 0, 0), (2, 0, 1), (3, 0, 2), (4, 1, 1), (5, 1, 2), (6, 2, 2), (7, 4, 2)):
+        _forward_difference(table[src], axis, out=table[row])
+    return table.reshape(8, -1)
+
+
+def _cell_polynomial_sample(table: np.ndarray, volume: Volume, idx) -> tuple:
+    """`_cell_trilinear` with gradient=True, from the `_cell_polynomials`
+    table of `volume`: one gather of the eight coefficients per point, then
+    the value and the three partials from shared factors. With
+    h = a4 + f3 a7, q = a2 + f3 a6 and k = a6 + f1 a7:
+    dM/df1 = a1 + f3 a5 + f2 h, dM/df2 = q + f1 h, dM/df3 = a3 + f1 a5 + f2 k
+    and M = a0 + f3 a3 + f2 q + f1 dM/df1."""
+    i000, (f1, f2, f3) = _cell_of(volume.dims, idx)
+    a = table.take(i000, axis=1)
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    k = np.multiply(f1, a7)
+    k += a6
+    a7 *= f3
+    a7 += a4  # h
+    a6 *= f3
+    a6 += a2  # q
+    np.multiply(f1, a7, out=a2)
+    a2 += a6  # dM/df2
+    np.multiply(f3, a3, out=a4)
+    a0 += a4
+    np.multiply(f2, a6, out=a4)
+    a0 += a4  # a0 + f3 a3 + f2 q
+    k *= f2
+    a3 += k
+    np.multiply(f1, a5, out=k)
+    a3 += k  # dM/df3
+    a5 *= f3
+    a1 += a5
+    a7 *= f2
+    a1 += a7  # dM/df1
+    np.multiply(f1, a1, out=a4)
+    a0 += a4  # M
+    grads = a[1:4]
+    for d in range(3):
+        np.divide(grads[d], volume.spacing[d], out=grads[d])
+    return a0, grads
+
+
 def _cell_trilinear(volume: Volume, idx, gradient: bool) -> tuple:
     """Values of the trilinear interpolant at the per-axis voxel indices `idx`
     and, with gradient=True, the (3, ...) planes of its gradient per mm (else
     None), with no inside test: a point beyond a face takes the value on the
     face, and its gradient that of the outermost cell."""
-    base = [np.clip(np.floor(i).astype(np.int64), 0, max(n - 2, 0)) for i, n in zip(idx, volume.dims)]
-    f1, f2, f3 = (np.clip(i - b, 0.0, 1.0) for i, b in zip(idx, base))
-
-    # flat gather: `base` is clipped to dims - 2, so the upper corner is
-    # base + 1 on every axis except a one-voxel one, whose stride is 0
+    i000, (f1, f2, f3) = _cell_of(volume.dims, idx)
+    # flat gather: the cell's base is clipped to dims - 2, so the upper corner
+    # is base + 1 on every axis except a one-voxel one, whose stride is 0
     d1, d2, d3 = volume.dims
     s1, s2, s3 = (d2 * d3 if d1 > 1 else 0), (d3 if d2 > 1 else 0), (1 if d3 > 1 else 0)
     flat = volume.data.ravel()
-    i000 = (base[0] * d2 + base[1]) * d3 + base[2]
     v000, v001 = flat[i000], flat[i000 + s3]
     v010, v011 = flat[i000 + s2], flat[i000 + s2 + s3]
     i100 = i000 + s1
@@ -235,10 +306,11 @@ def _cell_trilinear(volume: Volume, idx, gradient: bool) -> tuple:
     return values, grads
 
 
-def _hull_faded_sample(volume: Volume, planes: np.ndarray) -> tuple:
+def _hull_faded_sample(volume: Volume, planes: np.ndarray, table=None) -> tuple:
     """The moving-image terms of the hull-faded data term at the (3, ...)
     planes of physical points: (M, grad M, w, grad w), gradients as (3, ...)
-    planes per mm, M and grad M as `_cell_trilinear` gives them.
+    planes per mm, M and grad M as `_cell_trilinear` gives them, or, given
+    the volume's `_cell_polynomials` table, as `_cell_polynomial_sample` does.
 
     The fade is w = w1 w2 w3 with w_d = clip(min(i_d, n_d - 1 - i_d), 0, 1)
     at voxel index i_d: 0 on the faces of the voxel-centre hull and beyond
@@ -249,7 +321,10 @@ def _hull_faded_sample(volume: Volume, planes: np.ndarray) -> tuple:
     `trilinear_sample`.
     """
     idx = [(planes[d] - volume.origin[d]) / volume.spacing[d] for d in range(3)]
-    values, grads = _cell_trilinear(volume, idx, True)
+    if table is None:
+        values, grads = _cell_trilinear(volume, idx, True)
+    else:
+        values, grads = _cell_polynomial_sample(table, volume, idx)
     fades, dw = [], np.zeros((3,) + values.shape)
     for d, (i, n) in enumerate(zip(idx, volume.dims)):
         if n <= 2:

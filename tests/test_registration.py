@@ -7,6 +7,7 @@ import pytest
 
 from splinereg import bspline_core as core
 from splinereg import registration as reg
+from splinereg import regularizers_analytic as ra
 from splinereg import volume_io as vio
 from splinereg.field_metrics import jacobian_map, mls, warp_landmarks
 from splinereg.regularizers_analytic import RegularizerWeights
@@ -121,6 +122,47 @@ def test_mse_slabs_match_unsliced_reference(dims):
     assert gradient.tobytes() == ref_gradient.tobytes()
 
 
+def _slab_pair(dims):
+    moving = blob_volume(dims=dims, seed=21)
+    fixed = blob_volume(dims=dims, seed=22)
+    grid = vio.make_smooth_grid(vio.covering_geometry(fixed, (8.0, 8.0, 8.0)), amplitude=3.0, smoothness=20.0, seed=5)
+    grid.coefficients[np.array(dims) == 1] = 0.0  # keep points on a one-voxel axis's plane
+    return fixed, moving, grid
+
+
+@pytest.mark.parametrize("dims", [(37, 38, 35), (20, 1, 24), (3, 200, 200)])
+def test_mse_cell_table_matches_corner_path(dims):
+    """With the moving image's cell-polynomial table, value and gradient agree
+    with the corner interpolation to roundoff."""
+    fixed, moving, grid = _slab_pair(dims)
+    value, gradient = reg.mse_cost_grad(fixed, moving, grid)
+    got_value, got_gradient = reg.mse_cost_grad(fixed, moving, grid, vio._cell_polynomials(moving))
+    assert value > 0
+    assert abs(got_value - value) <= 1e-13 * value
+    assert np.abs(got_gradient - gradient).max() <= 1e-13 * np.abs(gradient).max()
+
+
+@pytest.mark.parametrize("dims", [(37, 38, 35), (20, 1, 24), (3, 200, 200)])
+def test_mse_cell_table_slabs_match_one_pass(dims, monkeypatch):
+    """On the table path too, slab boundaries change nothing: the result is
+    bitwise equal to one whole-volume pass of the same kernel."""
+    fixed, moving, grid = _slab_pair(dims)
+    table = vio._cell_polynomials(moving)
+    value, gradient = reg.mse_cost_grad(fixed, moving, grid, table)
+    monkeypatch.setattr(core, "_SLAB_POINTS", 4 * fixed.data.size)
+    assert core._slabs(fixed.dims, core._SLAB_POINTS // 2) == [slice(0, 2 * dims[0])]
+    one_value, one_gradient = reg.mse_cost_grad(fixed, moving, grid, table)
+    assert value > 0 and value == one_value
+    assert gradient.tobytes() == one_gradient.tobytes()
+
+
+def test_mse_cell_table_must_fit_the_moving_image():
+    vol = blob_volume(dims=(6, 5, 4))
+    grid = core.ControlPointGrid.zeros(vio.covering_geometry(vol, (8.0, 8.0, 8.0)))
+    with pytest.raises(ValueError, match="cell table"):
+        reg.mse_cost_grad(vol, vol, grid, vio._cell_polynomials(blob_volume(dims=(6, 5, 5))))
+
+
 def test_mse_cost_continuous_across_the_hull():
     """A uniform translation that carries the outermost voxel centres across the
     moving image's hull changes the cost continuously: the fade takes a sample
@@ -164,6 +206,35 @@ def test_mse_gradient_matches_finite_differences_at_the_hull():
                 assert abs(fd - got) / max(abs(fd), abs(got), floor) <= 1e-4, idx
 
 
+def test_mse_cell_table_gradient_matches_finite_differences_at_the_hull():
+    """The table path's gradient closes central differences of its own cost
+    on the lattice's outer shells, where the samples reach the fade ramp."""
+    moving = blob_volume(seed=1)
+    fixed = blob_volume(seed=2)
+    table = vio._cell_polynomials(moving)
+    geom = vio.covering_geometry(fixed, (12.0, 12.0, 12.0))
+    grid = random_grid(geom.tile_counts, geom.tile_spacing, seed=3, scale=1.5)
+    _, gradient = reg.mse_cost_grad(fixed, moving, grid, table)
+    rng = np.random.default_rng(7)
+    h = 1e-4
+    floor = 1e-4 * np.abs(gradient).max()
+    shape = geom.lattice_shape
+    for axis in range(3):
+        for shell in (0, 1, shape[axis] - 2, shape[axis] - 1):
+            for c in range(3):
+                ijk = [int(rng.integers(0, s)) for s in shape]
+                ijk[axis] = shell
+                idx = (c,) + tuple(ijk)
+                moved = []
+                for step in (h, -h):
+                    probe = grid.copy()
+                    probe.coefficients[idx] += step
+                    moved.append(reg.mse_cost_grad(fixed, moving, probe, table)[0])
+                fd = (moved[0] - moved[1]) / (2 * h)
+                got = gradient[idx]
+                assert abs(fd - got) / max(abs(fd), abs(got), floor) <= 1e-4, idx
+
+
 def test_mse_builds_axis_weights_once(monkeypatch):
     """One evaluation builds the three per-axis weight matrices once and shares
     them between the warped grid and the gradient scatter."""
@@ -198,6 +269,26 @@ def test_mse_cost_grad_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * volume, f"peak {peak / volume:.1f} volumes"
+
+
+def test_mse_cell_table_peak_memory_no_higher():
+    """At 64^3, with the table built beforehand, an evaluation on the table
+    path peaks no higher than one on the corner path."""
+    moving = blob_volume(dims=(64, 64, 64), seed=21)
+    fixed = blob_volume(dims=(64, 64, 64), seed=22)
+    geom = vio.covering_geometry(fixed, (8.0, 8.0, 8.0))
+    grid = vio.make_smooth_grid(geom, amplitude=3.0, smoothness=20.0, seed=5)
+    table = vio._cell_polynomials(moving)
+    peaks = []
+    for cell_table in (None, table):
+        reg.mse_cost_grad(fixed, moving, grid, cell_table)
+        tracemalloc.start()
+        try:
+            reg.mse_cost_grad(fixed, moving, grid, cell_table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0], f"table path {peaks[1]} B, corner path {peaks[0]} B"
 
 
 def test_mse_geometry_mismatch_rejected():
@@ -294,9 +385,9 @@ def test_stage_evaluations_count_cost_calls(monkeypatch):
     calls = []
     mse = reg.mse_cost_grad
 
-    def counted(fixed, moving, grid):
+    def counted(fixed, moving, grid, table=None):
         calls.append(grid.geometry.tile_spacing)
-        return mse(fixed, moving, grid)
+        return mse(fixed, moving, grid, table)
 
     monkeypatch.setattr(reg, "mse_cost_grad", counted)
     moving = blob_volume(dims=(20, 20, 20), seed=11)
@@ -311,6 +402,46 @@ def test_stage_evaluations_count_cost_calls(monkeypatch):
     _, history = reg.optimize(fixed, moving, config)
     assert [h.evaluations for h in history] == [calls.count(h.grid_spacing) for h in history]
     assert all(h.evaluations >= h.iterations + 1 for h in history)
+
+
+def test_optimize_builds_one_cell_table_per_stage(monkeypatch):
+    """Each stage builds its moving image's cell table once and passes it to
+    every evaluation; only a downsampled stage copies the images, and no
+    stage builds a V bank."""
+    tables, downsampled, evaluated = [], [], []
+    build, down, mse = reg._cell_polynomials, reg.box_downsample, reg.mse_cost_grad
+
+    def built(volume):
+        tables.append(build(volume))
+        return tables[-1]
+
+    def counted(fixed, moving, grid, table=None):
+        evaluated.append((moving, table))
+        return mse(fixed, moving, grid, table)
+
+    def no_bank(*args):
+        raise AssertionError("optimize built a V bank")
+
+    monkeypatch.setattr(reg, "_cell_polynomials", built)
+    monkeypatch.setattr(reg, "box_downsample", lambda volume, factor: downsampled.append(factor) or down(volume, factor))
+    monkeypatch.setattr(reg, "mse_cost_grad", counted)
+    monkeypatch.setattr(ra, "build_vbank", no_bank)
+    monkeypatch.setattr(reg, "build_vbank", no_bank, raising=False)
+    moving = blob_volume(dims=(20, 20, 20), seed=11)
+    fixed = blob_volume(dims=(20, 20, 20), seed=12)
+    config = reg.RegistrationConfig(
+        stages=(
+            reg.RegistrationStage((20.0,) * 3, max_iterations=2, image_downsample=2),
+            reg.RegistrationStage((10.0,) * 3, max_iterations=2),
+        ),
+        weights=RegularizerWeights(curvature=1e-2),
+    )
+    _, history = reg.optimize(fixed, moving, config)
+    assert downsampled == [2, 2]
+    assert len(tables) == 2 and len(evaluated) == sum(h.evaluations for h in history)
+    first = history[0].evaluations
+    assert all(t is tables[0] and m.dims == (10, 10, 10) for m, t in evaluated[:first])
+    assert all(t is tables[1] and m is moving for m, t in evaluated[first:])
 
 
 def test_optimize_line_search_rarely_backtracks():

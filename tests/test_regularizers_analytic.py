@@ -311,6 +311,20 @@ def test_penalty_spacing_mismatch_rejected():
         ra.penalty(grid, ra.RegularizerWeights(), bank)
 
 
+@pytest.mark.parametrize("with_gradient", [True, False])
+def test_penalty_without_a_bank_is_bitwise_equal(with_gradient):
+    """The kernel reads only the grid's tile spacing, so a bank is optional:
+    without one, `penalty` and `penalty_parallel` give the same bits."""
+    grid = random_grid((5, 4, 3), (10.0, 12.0, 8.0), seed=6)
+    bank = ra.build_vbank(grid.geometry.tile_spacing)
+    weights = ra.RegularizerWeights(0.3, 0.01, 2.0, 0.5, 1e-3)
+    want = _result_bytes(ra.penalty(grid, weights, bank, with_gradient))
+    assert _result_bytes(ra.penalty(grid, weights, with_gradient=with_gradient)) == want
+    for threads in (1, 2, 3):
+        got = ra.penalty_parallel(grid, weights, thread_count=threads, with_gradient=with_gradient)
+        assert _result_bytes(got) == want
+
+
 def test_constant_shift_changes_only_total_displacement():
     grid = random_grid((3, 3, 3), (11.0, 9.0, 13.0), seed=7)
     bank = ra.build_vbank(grid.geometry.tile_spacing)

@@ -292,6 +292,28 @@ def test_trilinear_outside_is_masked():
     assert values[0] == 0.0
 
 
+@pytest.mark.parametrize("dims", [(9, 8, 7), (1, 6, 5), (7, 2, 1), (2, 1, 2)])
+def test_cell_polynomials_match_corner_interpolation(dims):
+    """The per-cell polynomial table gives the corner interpolation's values
+    and gradient to roundoff: inside the image, exactly on its faces and
+    beyond them, on axes of one and two voxels too."""
+    rng = np.random.default_rng(sum(dims))
+    vol = vio.Volume(rng.normal(size=dims), spacing=(1.5, 2.0, 0.75), origin=(-3.0, 1.0, 2.5))
+    table = vio._cell_polynomials(vol)
+    assert table.shape == (8, vol.data.size)
+    idx = []
+    for n in dims:
+        faces = np.array([0.0, n - 1.0, 0.0, n - 1.0])
+        beyond = np.array([-1.5, -0.25, n - 0.75, n + 0.7])
+        idx.append(np.concatenate([rng.uniform(0.0, n - 1.0, 300), rng.permutation(faces), rng.permutation(beyond)]))
+    idx = [rng.permuted(np.tile(i, 5))[:1000].reshape(10, 100) for i in idx]  # mixes faces, beyond, inside
+    want, want_grads = vio._cell_trilinear(vol, idx, True)
+    got, got_grads = vio._cell_polynomial_sample(table, vol, idx)
+    assert got.shape == want.shape and got_grads.shape == want_grads.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(got_grads - want_grads).max() <= 1e-14 * np.abs(want_grads).max()
+
+
 def test_warp_volume_identity():
     vol = vio.make_phantom("blobs", (10, 10, 10), (2, 2, 2), seed=7)
     geom = vio.covering_geometry(vol, (10.0, 10.0, 10.0))
