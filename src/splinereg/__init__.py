@@ -2,8 +2,8 @@
 
 Core workflow: build a `ControlPointGrid`, then evaluate the weighted
 smoothness penalty and its gradient in closed form: the per-tile quadratic
-forms p' V p, summed over the lattice by per-axis operators built from the tile
-spacing (`penalty` reads only that spacing from the `VMatrixBank` it is given).
+forms p' V p, summed over the lattice by per-axis operators built from the
+grid's tile spacing (a `VMatrixBank`, if one is given, is only checked to match it).
 Sampled numerical counterparts, field-quality metrics, a registration driver,
 and synthetic-data generators round out the toolkit; the `splinereg` command
 exposes everything on the command line.

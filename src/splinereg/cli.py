@@ -120,15 +120,14 @@ def cmd_penalty(args) -> int:
     weights = _weights_from_args(args)
     threads = resolve_thread_count(args.threads)
 
-    if args.method == "analytic" or args.dump_vbank:
-        bank = analytic.build_vbank(grid.geometry.tile_spacing)
     if args.dump_vbank:
+        bank = analytic.build_vbank(grid.geometry.tile_spacing)
         analytic.write_vbank(bank, args.dump_vbank)
         _note(f"wrote V bank ({len(bank)} operators) to {args.dump_vbank}")
 
     t0 = time.perf_counter()
     if args.method == "analytic":
-        res = analytic.penalty_parallel(grid, weights, bank, threads, with_gradient=bool(args.dump_gradient))
+        res = analytic.penalty_parallel(grid, weights, thread_count=threads, with_gradient=bool(args.dump_gradient))
         terms, value = res.terms, res.value
         if args.dump_gradient:
             gradient_grid = core.ControlPointGrid(grid.geometry, res.gradient)
@@ -159,9 +158,8 @@ def cmd_compare(args) -> int:
     spec = numeric.SamplingSpec.voxel_grid(tuple(args.voxel_spacing), args.boundary)
 
     with single_threaded_blas():
-        bank = analytic.build_vbank(grid.geometry.tile_spacing)
         t0 = time.perf_counter()
-        res = analytic.penalty(grid, weights, bank, with_gradient=False)
+        res = analytic.penalty(grid, weights, with_gradient=False)
         analytic_seconds = time.perf_counter() - t0
 
     rows = []
@@ -228,7 +226,6 @@ def cmd_bench(args) -> int:
     grid = vio.make_smooth_grid(geometry, amplitude=5.0, smoothness=2.0 * max(gsp), seed=args.seed)
     spec = numeric.SamplingSpec.voxel_grid(vsp)
     weights = analytic.RegularizerWeights()
-    bank = analytic.build_vbank(gsp)
 
     config = {
         "dims": list(dims),
@@ -247,7 +244,7 @@ def cmd_bench(args) -> int:
     rows = []
 
     _note(f"bench: {geometry.tile_total} tiles, {np.prod(dims)} voxels, {args.repeats} repeats")
-    _timed(lambda: analytic.penalty(grid, weights, bank, with_gradient=False), args.repeats, report, "analytic")
+    _timed(lambda: analytic.penalty(grid, weights, with_gradient=False), args.repeats, report, "analytic")
     rows.append(
         {
             "command": "bench",
@@ -285,7 +282,7 @@ def cmd_bench(args) -> int:
     for nt in thread_counts:
         label = f"threads:{nt}"
         _timed(
-            lambda nt=nt: analytic.penalty_parallel(grid, weights, bank, nt),
+            lambda nt=nt: analytic.penalty_parallel(grid, weights, thread_count=nt),
             args.repeats,
             report,
             label,

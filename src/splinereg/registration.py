@@ -8,10 +8,11 @@ interpolant. The hull fade w(p) falls from 1 to 0 across the moving image's
 outermost voxel cell, so a sample leaving the image changes C continuously
 and the line search need not backtrack around it. Stages run coarse to fine;
 each stage fits its grid to the previous stage's field by separable least
-squares before optimizing. Each stage also builds once the table of the
-moving image's per-cell trilinear polynomials (eight coefficients per
-voxel), so that every evaluation in the stage gathers one cell's
-coefficients per sample instead of its eight corners.
+squares before optimizing. M and its gradient come from one kernel that
+evaluates each sample's cell polynomial (eight coefficients per voxel cell).
+Each stage builds once the table of the moving image's cell polynomials, so
+that every evaluation in the stage gathers one cell's coefficients per
+sample instead of differencing its eight corners; the bits are the same.
 """
 
 from __future__ import annotations
@@ -102,13 +103,14 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid, ta
     roundoff. Samples on or beyond the hull's faces, or off the planes of a
     thin axis, contribute nothing to value or gradient.
 
-    `table`, the moving image's `volume_io._cell_polynomials`, lets each
-    sample gather its cell's eight polynomial coefficients at once and take M
-    and grad M from shared factors: equal to the eight-corner interpolation to
-    roundoff, and faster. It costs 8 volumes of memory and one pass over the
-    image to build, which pays off over the many evaluations of one image in
-    a stage of `optimize`; without it, M and grad M are the corner
-    interpolation's, bit for bit. The samples are walked in slabs of half
+    M and grad M come from one kernel, `volume_io._cell_sample`, which takes
+    them from each sample's cell polynomial by shared factors. `table`, the
+    moving image's `volume_io._cell_polynomials`, is only a cache: each
+    sample gathers its cell's eight coefficients from it instead of taking
+    the differences of the cell's eight corners, and the result is the same
+    bit for bit. It costs 8 volumes of memory and one pass over the image to
+    build, which pays off over the many evaluations of one image in a stage
+    of `optimize`. The samples are walked in slabs of half
     `core._SLAB_POINTS`, so that a slab's temporaries stay in cache beside
     the table.
     """

@@ -172,25 +172,20 @@ def read_grid(path) -> core.ControlPointGrid:
 # Interpolation and resampling
 # ---------------------------------------------------------------------------
 
-def trilinear_sample(volume: Volume, points: np.ndarray, gradient: bool = False):
+def trilinear_sample(volume: Volume, points: np.ndarray):
     """Trilinear interpolation of a scalar volume at physical points.
 
-    Returns (values, inside_mask) or, with gradient=True, also the exact
-    spatial gradient of the interpolant (per mm) at each point. Points outside
-    the voxel-center hull get value 0 and mask False. Work runs on the (3, ...)
-    planes of `points` and of the gradient; (..., 3) views of them cost no copy.
+    Returns (values, inside_mask). Points outside the voxel-center hull get
+    value 0 and mask False. Work runs on the (3, ...) planes of `points`; an
+    (..., 3) view of them costs no copy.
     """
     if volume.components != 1:
         raise ValueError("trilinear_sample expects a scalar volume")
     planes = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
     idx = [(planes[d] - volume.origin[d]) / volume.spacing[d] for d in range(3)]
     inside = np.all([(i >= 0.0) & (i <= n - 1) for i, n in zip(idx, volume.dims)], axis=0)
-    values, grads = _cell_trilinear(volume, idx, gradient)
-    values = np.where(inside, values, 0.0)
-    if not gradient:
-        return values, inside
-    grads[:, ~inside] = 0.0
-    return values, np.moveaxis(grads, 0, -1), inside
+    values, _ = _cell_sample(volume, idx, False)
+    return np.where(inside, values, 0.0), inside
 
 
 def _cell_of(dims, idx) -> tuple:
@@ -221,7 +216,7 @@ def _cell_polynomials(volume: Volume) -> np.ndarray:
     is that voxel, a0 + a1 f1 + a2 f2 + a3 f3 + a4 f1f2 + a5 f1f3 + a6 f2f3 +
     a7 f1f2f3. Each a_k is a product of forward differences of the image along
     the axes of its f's, 0 at an axis's last voxel: so a one-voxel axis has
-    no variation along it, as the stride-0 corners of `_cell_trilinear`."""
+    no variation along it."""
     table = np.empty((8,) + volume.dims)
     table[0] = volume.data
     for row, src, axis in ((1, 0, 0), (2, 0, 1), (3, 0, 2), (4, 1, 1), (5, 1, 2), (6, 2, 2), (7, 4, 2)):
@@ -229,88 +224,91 @@ def _cell_polynomials(volume: Volume) -> np.ndarray:
     return table.reshape(8, -1)
 
 
-def _cell_polynomial_sample(table: np.ndarray, volume: Volume, idx) -> tuple:
-    """`_cell_trilinear` with gradient=True, from the `_cell_polynomials`
-    table of `volume`: one gather of the eight coefficients per point, then
-    the value and the three partials from shared factors. With
-    h = a4 + f3 a7, q = a2 + f3 a6 and k = a6 + f1 a7:
-    dM/df1 = a1 + f3 a5 + f2 h, dM/df2 = q + f1 h, dM/df3 = a3 + f1 a5 + f2 k
-    and M = a0 + f3 a3 + f2 q + f1 dM/df1."""
-    i000, (f1, f2, f3) = _cell_of(volume.dims, idx)
-    a = table.take(i000, axis=1)
+def _corner_coefficients(volume: Volume, i000: np.ndarray) -> list:
+    """The eight coefficients a0..a7 of the cell polynomials whose base
+    voxels have the flat indices `i000`, from each cell's eight corners. They
+    are the forward differences `_cell_polynomials` takes, in its order, so
+    they equal the gathered rows of its table bit for bit. The base is
+    clipped to dims - 2, so the upper corner is base + 1 on every axis except
+    a one-voxel one, whose stride is 0 and whose differences are 0."""
+    d1, d2, d3 = volume.dims
+    s1, s2, s3 = (d2 * d3 if d1 > 1 else 0), (d3 if d2 > 1 else 0), (1 if d3 > 1 else 0)
+    flat = volume.data.ravel()
+    a = [flat.take(i000 + offset)  # v000, v100, v010, v001, v110, v101, v011, v111
+         for offset in (0, s1, s2, s3, s1 + s2, s1 + s3, s2 + s3, s1 + s2 + s3)]
     a0, a1, a2, a3, a4, a5, a6, a7 = a
-    k = np.multiply(f1, a7)
-    k += a6
+    a7 -= a6  # v111 - v011
+    a6 -= a3  # v011 - v001
+    a5 -= a3  # v101 - v001
+    a7 -= a5  # (v111 - v011) - (v101 - v001)
+    a4 -= a2  # v110 - v010
+    a1 -= a0  # a1 = v100 - v000, and a2, a3 alike
+    a2 -= a0
+    a3 -= a0
+    a4 -= a1  # a4..a7 as `_cell_polynomials` takes them
+    a5 -= a1
+    a6 -= a2
+    a7 -= a4
+    return a
+
+
+def _cell_sample(volume: Volume, idx, gradient: bool, table=None) -> tuple:
+    """Values of the trilinear interpolant at the per-axis voxel indices `idx`
+    and, with gradient=True, a list of the three planes of its gradient per
+    mm (else None), with no inside test: a point beyond a face takes the value
+    on the face, and its gradient that of the outermost cell.
+
+    Each point's cell polynomial (`_cell_polynomials`) is gathered from
+    `table`, that volume's table, or else taken from the cell's corners by
+    `_corner_coefficients`: the same bits either way, so the table only saves
+    the differences. With h = a4 + f3 a7, q = a2 + f3 a6 and k = a6 + f1 a7:
+    dM/df1 = a1 + f3 a5 + f2 h, dM/df2 = q + f1 h, dM/df3 = a3 + f2 k + f1 a5
+    and M = a0 + f3 a3 + f2 q + f1 dM/df1. Both routes hold the coefficients
+    as eight separate arrays, not one (8, n) block, so only the four that
+    the result reuses outlive the call."""
+    i000, (f1, f2, f3) = _cell_of(volume.dims, idx)
+    shape = i000.shape
+    # flat rows: those of a 0-d gather would be scalars, which in-place ops do not write back
+    i000, f1, f2, f3 = [x.reshape(-1) for x in (i000, f1, f2, f3)]
+    a = _corner_coefficients(volume, i000) if table is None else [row.take(i000) for row in table]
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    if gradient:
+        k = np.multiply(f1, a7)
+        k += a6
     a7 *= f3
     a7 += a4  # h
     a6 *= f3
     a6 += a2  # q
-    np.multiply(f1, a7, out=a2)
-    a2 += a6  # dM/df2
     np.multiply(f3, a3, out=a4)
     a0 += a4
     np.multiply(f2, a6, out=a4)
     a0 += a4  # a0 + f3 a3 + f2 q
-    k *= f2
-    a3 += k
-    np.multiply(f1, a5, out=k)
-    a3 += k  # dM/df3
+    if gradient:
+        np.multiply(f1, a7, out=a2)
+        a2 += a6  # dM/df2
+        k *= f2
+        a3 += k
+        np.multiply(f1, a5, out=k)
+        a3 += k  # dM/df3
     a5 *= f3
     a1 += a5
     a7 *= f2
     a1 += a7  # dM/df1
     np.multiply(f1, a1, out=a4)
     a0 += a4  # M
-    grads = a[1:4]
-    for d in range(3):
-        np.divide(grads[d], volume.spacing[d], out=grads[d])
-    return a0, grads
-
-
-def _cell_trilinear(volume: Volume, idx, gradient: bool) -> tuple:
-    """Values of the trilinear interpolant at the per-axis voxel indices `idx`
-    and, with gradient=True, the (3, ...) planes of its gradient per mm (else
-    None), with no inside test: a point beyond a face takes the value on the
-    face, and its gradient that of the outermost cell."""
-    i000, (f1, f2, f3) = _cell_of(volume.dims, idx)
-    # flat gather: the cell's base is clipped to dims - 2, so the upper corner
-    # is base + 1 on every axis except a one-voxel one, whose stride is 0
-    d1, d2, d3 = volume.dims
-    s1, s2, s3 = (d2 * d3 if d1 > 1 else 0), (d3 if d2 > 1 else 0), (1 if d3 > 1 else 0)
-    flat = volume.data.ravel()
-    v000, v001 = flat[i000], flat[i000 + s3]
-    v010, v011 = flat[i000 + s2], flat[i000 + s2 + s3]
-    i100 = i000 + s1
-    v100, v101 = flat[i100], flat[i100 + s3]
-    v110, v111 = flat[i100 + s2], flat[i100 + s2 + s3]
-    e1, e2, e3 = 1 - f1, 1 - f2, 1 - f3
-    c00 = v000 * e3 + v001 * f3
-    c01 = v010 * e3 + v011 * f3
-    c10 = v100 * e3 + v101 * f3
-    c11 = v110 * e3 + v111 * f3
-    c0 = c00 * e2 + c01 * f2
-    c1 = c10 * e2 + c11 * f2
-    values = c0 * e1 + c1 * f1
     if not gradient:
-        return values, None
-
-    g3 = (
-        (v001 - v000) * e1 * e2
-        + (v011 - v010) * e1 * f2
-        + (v101 - v100) * f1 * e2
-        + (v111 - v110) * f1 * f2
-    )
-    grads = np.empty((3,) + values.shape)
-    for d, g in enumerate((c1 - c0, (c01 - c00) * e1 + (c11 - c10) * f1, g3)):
-        np.divide(g, volume.spacing[d], out=grads[d, ...])
-    return values, grads
+        return a0.reshape(shape), None
+    for d, g in enumerate((a1, a2, a3)):
+        np.divide(g, volume.spacing[d], out=g)
+    return a0.reshape(shape), [g.reshape(shape) for g in (a1, a2, a3)]
 
 
 def _hull_faded_sample(volume: Volume, planes: np.ndarray, table=None) -> tuple:
     """The moving-image terms of the hull-faded data term at the (3, ...)
-    planes of physical points: (M, grad M, w, grad w), gradients as (3, ...)
-    planes per mm, M and grad M as `_cell_trilinear` gives them, or, given
-    the volume's `_cell_polynomials` table, as `_cell_polynomial_sample` does.
+    planes of physical points: (M, grad M, w, grad w), gradients per mm, grad
+    M as three planes and grad w as (3, ...) planes. M and grad M are as
+    `_cell_sample` gives them, from the volume's `_cell_polynomials` table if
+    one is given.
 
     The fade is w = w1 w2 w3 with w_d = clip(min(i_d, n_d - 1 - i_d), 0, 1)
     at voxel index i_d: 0 on the faces of the voxel-centre hull and beyond
@@ -321,10 +319,7 @@ def _hull_faded_sample(volume: Volume, planes: np.ndarray, table=None) -> tuple:
     `trilinear_sample`.
     """
     idx = [(planes[d] - volume.origin[d]) / volume.spacing[d] for d in range(3)]
-    if table is None:
-        values, grads = _cell_trilinear(volume, idx, True)
-    else:
-        values, grads = _cell_polynomial_sample(table, volume, idx)
+    values, grads = _cell_sample(volume, idx, True, table)
     fades, dw = [], np.zeros((3,) + values.shape)
     for d, (i, n) in enumerate(zip(idx, volume.dims)):
         if n <= 2:

@@ -86,7 +86,7 @@ def test_penalty_dump_vbank_and_gradient(grid_file, tmp_path, capsys, monkeypatc
     assert len(bank) == 23
     gradient = vio.read_grid(gr)
     assert np.any(gradient.coefficients != 0.0)
-    assert len(built) == 1  # the dumped bank is the one the penalty uses
+    assert len(built) == 1  # a bank is built only to be dumped
 
 
 def test_compare_reports_all_regularizers(grid_file, capsys):

@@ -223,14 +223,25 @@ def test_gaussian_blur_matches_scipy_bitwise():
 
 def test_trilinear_reproduces_linear_functions():
     rng = np.random.default_rng(4)
-    # (8, 1, 6) has a one-voxel axis, where the flat gather's stride is 0
+
+    def trilinear(x1, x2, x3):  # all eight monomials, x1 x2 x3 included
+        return 0.5 + x1 - 0.3 * x2 + 0.25 * x3 + (0.02 * x2 - 0.03 * x3 + 0.002 * x2 * x3) * x1 + 0.04 * x2 * x3
+
+    # (8, 1, 6) has a one-voxel axis, where the flat gather's stride is 0; the
+    # trilinear polynomial is reproduced only if each cell coefficient
+    # a4..a7 takes its differences from the right corners
     for dims in ((8, 8, 8), (8, 1, 6)):
-        vol = vio.make_phantom("gradient", dims, (2, 2, 2))
-        vol.data += 0.25 * vol.axis_coords(2)
-        pts = rng.uniform(0.0, 2.0 * (np.array(dims) - 1), size=(50, 3))
-        values, inside = vio.trilinear_sample(vol, pts)
-        assert np.all(inside)
-        np.testing.assert_allclose(values, pts[:, 0] + 0.25 * pts[:, 2], atol=1e-12)
+        for field in (lambda x1, x2, x3: x1 + 0.25 * x3, trilinear):
+            vol = vio.Volume(np.zeros(dims), (2, 2, 2))
+            vol.data[:] = field(*np.meshgrid(*(vol.axis_coords(d) for d in range(3)), indexing="ij"))
+            pts = rng.uniform(0.0, 2.0 * (np.array(dims) - 1), size=(50, 3))
+            values, inside = vio.trilinear_sample(vol, pts)
+            assert np.all(inside)
+            np.testing.assert_allclose(values, field(*pts.T), atol=1e-12)
+
+
+def _voxel_index(vol, points):
+    return [(points[..., d] - vol.origin[d]) / vol.spacing[d] for d in range(3)]
 
 
 def test_trilinear_gradient_matches_finite_differences():
@@ -243,12 +254,13 @@ def test_trilinear_gradient_matches_finite_differences():
         lo = np.where(single, 0.0, 1.0)
         hi = np.where(single, 0.0, 2.0 * (np.array(dims) - 1) - 1.0)
         pts = rng.uniform(lo, hi, size=(30, 3))
-        _, grads, inside = vio.trilinear_sample(vol, pts, gradient=True)
+        _, inside = vio.trilinear_sample(vol, pts)
         assert np.all(inside)
+        _, grads = vio._cell_sample(vol, _voxel_index(vol, pts), True)
         h = 1e-6
         for axis in range(3):
             if single[axis]:
-                np.testing.assert_array_equal(grads[:, axis], 0.0)
+                np.testing.assert_array_equal(grads[axis], 0.0)
                 continue
             shifted_p = pts.copy()
             shifted_p[:, axis] += h
@@ -257,30 +269,39 @@ def test_trilinear_gradient_matches_finite_differences():
             vp, _ = vio.trilinear_sample(vol, shifted_p)
             vm, _ = vio.trilinear_sample(vol, shifted_m)
             fd = (vp - vm) / (2 * h)
-            np.testing.assert_allclose(grads[:, axis], fd, atol=1e-6)
+            np.testing.assert_allclose(grads[axis], fd, atol=1e-6)
 
 
 def test_trilinear_strided_points_match_contiguous_copy():
     """A non-contiguous (..., 3) view, planar or strided, samples bitwise like
-    its contiguous copy."""
+    its contiguous copy, and so do strided voxel-index planes in the kernel."""
     rng = np.random.default_rng(8)
     vol = vio.Volume(data=rng.normal(size=(5, 1, 6)), spacing=(0.7, 1.3, 2.1), origin=(-3.0, 1.5, 4.25))
     planes = rng.uniform((-4.0, 0.5, 3.0), (1.0, 2.5, 16.0), size=(4, 6, 3)).transpose(2, 0, 1).copy()
     planes[1, ::2] = 1.5  # on the one-voxel axis's plane, so these rows can be inside
     for view in (np.moveaxis(planes, 0, -1), np.moveaxis(planes, 0, -1)[::2, ::-1]):
         assert not view.flags.c_contiguous
-        for gradient in (False, True):
-            got = vio.trilinear_sample(vol, view, gradient=gradient)
-            want = vio.trilinear_sample(vol, np.ascontiguousarray(view), gradient=gradient)
-            for g, w in zip(got, want):
-                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        got = vio.trilinear_sample(vol, view)
+        want = vio.trilinear_sample(vol, np.ascontiguousarray(view))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    index = np.array(_voxel_index(vol, np.moveaxis(planes, 0, -1)))
+    for view in (index[:, ::2, ::-1], index[:, :, ::3]):
+        assert not view[0].flags.c_contiguous
+        got_values, got_grads = vio._cell_sample(vol, list(view), True)
+        want_values, want_grads = vio._cell_sample(vol, list(np.ascontiguousarray(view)), True)
+        for g, w in zip([got_values, *got_grads], [want_values, *want_grads]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_trilinear_single_point_matches_batch():
     vol = vio.make_phantom("blobs", (6, 5, 4), (2, 2, 2), seed=1)
     for point in ([3.1, 2.2, 1.7], [30.0, 1.0, 1.0]):
-        single = vio.trilinear_sample(vol, np.array(point), gradient=True)
-        batch = vio.trilinear_sample(vol, np.array([point]), gradient=True)
+        single, batch = [], []
+        for out, pts in ((single, np.array(point)), (batch, np.array([point]))):
+            out += vio.trilinear_sample(vol, pts)
+            values, grads = vio._cell_sample(vol, _voxel_index(vol, pts), True)
+            out += [values, *grads]
         for s, b in zip(single, batch):
             assert s.shape == b.shape[1:] and s.tobytes() == b[0].tobytes()
 
@@ -294,9 +315,10 @@ def test_trilinear_outside_is_masked():
 
 @pytest.mark.parametrize("dims", [(9, 8, 7), (1, 6, 5), (7, 2, 1), (2, 1, 2)])
 def test_cell_polynomials_match_corner_interpolation(dims):
-    """The per-cell polynomial table gives the corner interpolation's values
-    and gradient to roundoff: inside the image, exactly on its faces and
-    beyond them, on axes of one and two voxels too."""
+    """Gathering the per-cell polynomial table and taking the coefficients
+    from each cell's corners give the same bits, values alone too: inside the
+    image, exactly on its faces and beyond them, on axes of one and two
+    voxels too."""
     rng = np.random.default_rng(sum(dims))
     vol = vio.Volume(rng.normal(size=dims), spacing=(1.5, 2.0, 0.75), origin=(-3.0, 1.0, 2.5))
     table = vio._cell_polynomials(vol)
@@ -307,11 +329,13 @@ def test_cell_polynomials_match_corner_interpolation(dims):
         beyond = np.array([-1.5, -0.25, n - 0.75, n + 0.7])
         idx.append(np.concatenate([rng.uniform(0.0, n - 1.0, 300), rng.permutation(faces), rng.permutation(beyond)]))
     idx = [rng.permuted(np.tile(i, 5))[:1000].reshape(10, 100) for i in idx]  # mixes faces, beyond, inside
-    want, want_grads = vio._cell_trilinear(vol, idx, True)
-    got, got_grads = vio._cell_polynomial_sample(table, vol, idx)
-    assert got.shape == want.shape and got_grads.shape == want_grads.shape
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    assert np.abs(got_grads - want_grads).max() <= 1e-14 * np.abs(want_grads).max()
+    want, want_grads = vio._cell_sample(vol, idx, True)
+    got, got_grads = vio._cell_sample(vol, idx, True, table)
+    for g, w in zip([got, *got_grads], [want, *want_grads], strict=True):
+        assert g.shape == w.shape == (10, 100) and g.tobytes() == w.tobytes()
+    for cell_table in (None, table):
+        values, none = vio._cell_sample(vol, idx, False, cell_table)
+        assert none is None and values.tobytes() == want.tobytes()
 
 
 def test_warp_volume_identity():

@@ -10,7 +10,7 @@ import numpy as np
 
 import splinereg as sr
 from splinereg import bspline_core as core
-from splinereg.volume_io import _cell_polynomials, warped_voxel_centers
+from splinereg.volume_io import warped_voxel_centers
 
 GRIDS = [  # tiles, tile spacing (mm) and, off the origin, origin (mm)
     ((3, 4, 5), (10, 12, 8)), ((1, 1, 1), (7, 5, 9)), ((1, 3, 2), (6, 10, 4), (-3, 2, 5)), ((5, 1, 2), (9, 9, 11)),
@@ -64,17 +64,14 @@ show("vbank", *[str(p) for p in bank.pairs], *[bank.get(p) for p in bank.pairs])
 with tempfile.TemporaryDirectory() as tmp:
     sr.write_vbank(bank, Path(tmp) / "bank.vbk")
     show("vbank_file", (Path(tmp) / "bank.vbk").read_bytes())
-mse, mse_table, warped, centers, fits = [], [], [], [], []
+mse, warped, centers, fits = [], [], [], []
 for fixed, moving in map(image_pair, SHAPES):
     geometry = sr.covering_geometry(fixed, (8.0,) * 3)
-    table = _cell_polynomials(moving)
     for g in (core.ControlPointGrid.zeros(geometry), sr.make_smooth_grid(geometry, 2.0, 20.0, 5)):
         mse += list(sr.mse_cost_grad(fixed, moving, g))
-        mse_table += list(sr.mse_cost_grad(fixed, moving, g, table))
         warped.append(sr.warp_volume(moving, g, fixed).data)
         centers.append(warped_voxel_centers(g, fixed))
 show("mse_cost_grad", *mse)
-show("mse_cost_grad_table", *mse_table)
 show("warp_volume", *warped)
 show("warped_voxel_centers", *centers)
 off_knot = [[np.linspace(o + 0.31 * r, o + e - 0.53 * r, 2 * n + 3)  # no sample on a knot
