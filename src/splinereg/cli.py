@@ -416,7 +416,7 @@ def _load_landmarks(path, args) -> metrics.LandmarkSet:
     lms = metrics.read_landmarks(path)
     if args.landmark_voxel_spacing:
         sp = np.array(args.landmark_voxel_spacing)
-        org = np.array(args.landmark_origin)
+        org = np.array(args.landmark_origin or (0.0, 0.0, 0.0))
         lms = metrics.LandmarkSet(points=org + lms.points * sp, label=lms.label)
     return lms
 
@@ -583,8 +583,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landmark-voxel-spacing", type=_spacing, nargs=3, default=None,
                    metavar=("S1", "S2", "S3"),
                    help="treat landmark coordinates as voxel indices with this spacing")
-    p.add_argument("--landmark-origin", type=float, nargs=3, default=(0.0, 0.0, 0.0),
-                   metavar=("O1", "O2", "O3"))
+    p.add_argument("--landmark-origin", type=float, nargs=3, default=None,
+                   metavar=("O1", "O2", "O3"),
+                   help="physical position of voxel index (0, 0, 0) with --landmark-voxel-spacing "
+                        "(default 0 0 0)")
     p.add_argument("--jacobian-samples", type=_int_at_least(1), default=4,
                    help="samples per tile per axis")
     _add_json_flag(p)
@@ -645,6 +647,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "dump_gradient", None) and args.method != "analytic":
         parser.error("--dump-gradient requires --method analytic")
+    if getattr(args, "landmark_origin", None) and not args.landmark_voxel_spacing:
+        parser.error("--landmark-origin requires --landmark-voxel-spacing")
     pairs = (("sweep_weights", "sweep_regularizer"), ("landmarks_fixed", "landmarks_moving"),
              ("landmarks_a", "landmarks_b"))
     for a, b in pairs:

@@ -9,10 +9,8 @@ outermost voxel cell, so a sample leaving the image changes C continuously
 and the line search need not backtrack around it. Stages run coarse to fine;
 each stage fits its grid to the previous stage's field by separable least
 squares before optimizing. M and its gradient come from one kernel that
-evaluates each sample's cell polynomial (eight coefficients per voxel cell).
-Each stage builds once the table of the moving image's cell polynomials, so
-that every evaluation in the stage gathers one cell's coefficients per
-sample instead of differencing its eight corners; the bits are the same.
+evaluates each sample's cell polynomial (eight coefficients per voxel cell,
+differenced from the cell's corners).
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from .volume_io import (
     Volume,
     box_downsample,
     covering_geometry,
-    _cell_polynomials,
     _hull_faded_sample,
     _warped_planes,
 )
@@ -88,7 +85,7 @@ class StageHistory:
     evaluations: int = 0
 
 
-def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid, table=None) -> tuple:
+def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) -> tuple:
     """Sum of hull-faded squared intensity differences under the warp, and its
     gradient with respect to every coefficient.
 
@@ -104,22 +101,18 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid, ta
     thin axis, contribute nothing to value or gradient.
 
     M and grad M come from one kernel, `volume_io._cell_sample`, which takes
-    them from each sample's cell polynomial by shared factors. `table`, the
-    moving image's `volume_io._cell_polynomials`, is only a cache: each
-    sample gathers its cell's eight coefficients from it instead of taking
-    the differences of the cell's eight corners, and the result is the same
-    bit for bit. It costs 8 volumes of memory and one pass over the image to
-    build, which pays off over the many evaluations of one image in a stage
-    of `optimize`. The samples are walked in slabs of half
-    `core._SLAB_POINTS`, so that a slab's temporaries stay in cache beside
-    the table.
+    them from each sample's cell polynomial, differenced from the cell's
+    eight corners, by shared factors. The samples are walked in slabs of half
+    `core._SLAB_POINTS`, whose temporaries (eight coefficient arrays and
+    more per point) fit in cache better than whole slabs': on 2 x86-64 vCPUs
+    an evaluation was faster with half slabs in 39 of 40 alternating rounds
+    at 48^3 voxels (min 14.6 against 17.0 ms) and in 18 of 24 at 64^3 (34.5
+    against 35.4 ms), with the same bits (`BENCH_one_route.json`).
     """
     if not fixed.same_geometry(moving):
         raise ValueError("fixed and moving volumes must share dims, spacing and origin")
     if fixed.components != 1 or moving.components != 1:
         raise ValueError("registration expects scalar volumes")
-    if table is not None and table.shape != (8, moving.data.size):
-        raise ValueError(f"cell table {table.shape} does not fit a moving image of {moving.dims} voxels")
 
     geometry = grid.geometry
     axes = [fixed.axis_coords(d) for d in range(3)]
@@ -131,7 +124,7 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid, ta
     planes = _warped_planes(grid, axes, ws)
     cost, weighted = np.empty(fixed.dims), np.empty((3,) + fixed.dims)
     for part in core._slabs(fixed.dims, core._SLAB_POINTS // 2):
-        m_vals, m_grads, fade, fade_grads = _hull_faded_sample(moving, planes[:, part], table)
+        m_vals, m_grads, fade, fade_grads = _hull_faded_sample(moving, planes[:, part])
         # in place on the slab's own arrays, which bound the peak memory
         diff = np.subtract(m_vals, fixed.data[part], out=m_vals)
         faded = np.multiply(fade, diff, out=fade)
@@ -262,7 +255,6 @@ def optimize(fixed: Volume, moving: Volume, config: RegistrationConfig) -> tuple
         else:
             vol_f = box_downsample(fixed, stage.image_downsample)
             vol_m = box_downsample(moving, stage.image_downsample)
-        table = _cell_polynomials(vol_m)
         # every stage's lattice covers the full-resolution domain so that
         # coarse fields can always be resampled onto finer stages
         geometry = covering_geometry(fixed, stage.grid_spacing)
@@ -282,11 +274,10 @@ def optimize(fixed: Volume, moving: Volume, config: RegistrationConfig) -> tuple
         np.empty(31 << 20, dtype=np.uint8)
         calls = [0]  # cost-and-gradient evaluations in this stage
 
-        def cost(x, geometry=geometry, vol_f=vol_f, vol_m=vol_m, table=table, shape=shape,
-                 calls=calls):
+        def cost(x, geometry=geometry, vol_f=vol_f, vol_m=vol_m, shape=shape, calls=calls):
             calls[0] += 1
             g = core.ControlPointGrid(geometry, x.reshape(shape))
-            mse_val, mse_grad = mse_cost_grad(vol_f, vol_m, g, table=table)
+            mse_val, mse_grad = mse_cost_grad(vol_f, vol_m, g)
             pen = penalty(g, config.weights)
             return mse_val + pen.value, (mse_grad + pen.gradient).ravel()
 

@@ -203,34 +203,16 @@ def _cell_of(dims, idx) -> tuple:
     return flat.astype(np.int64), tuple(offsets)
 
 
-def _forward_difference(src: np.ndarray, axis: int, out: np.ndarray):
-    """out = src[i+1] - src[i] along `axis`, and 0 at its last voxel."""
-    src, out = np.moveaxis(src, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(src[1:], src[:-1], out=out[:-1])
-    out[-1] = 0.0
-
-
-def _cell_polynomials(volume: Volume) -> np.ndarray:
-    """Planar (8, N) table of every voxel's cell polynomial, N voxels in C
-    order: row k holds a_k of the trilinear interpolant on the cell whose base
-    is that voxel, a0 + a1 f1 + a2 f2 + a3 f3 + a4 f1f2 + a5 f1f3 + a6 f2f3 +
-    a7 f1f2f3. Each a_k is a product of forward differences of the image along
-    the axes of its f's, 0 at an axis's last voxel: so a one-voxel axis has
-    no variation along it."""
-    table = np.empty((8,) + volume.dims)
-    table[0] = volume.data
-    for row, src, axis in ((1, 0, 0), (2, 0, 1), (3, 0, 2), (4, 1, 1), (5, 1, 2), (6, 2, 2), (7, 4, 2)):
-        _forward_difference(table[src], axis, out=table[row])
-    return table.reshape(8, -1)
-
-
 def _corner_coefficients(volume: Volume, i000: np.ndarray) -> list:
     """The eight coefficients a0..a7 of the cell polynomials whose base
-    voxels have the flat indices `i000`, from each cell's eight corners. They
-    are the forward differences `_cell_polynomials` takes, in its order, so
-    they equal the gathered rows of its table bit for bit. The base is
-    clipped to dims - 2, so the upper corner is base + 1 on every axis except
-    a one-voxel one, whose stride is 0 and whose differences are 0."""
+    voxels have the flat indices `i000`, from each cell's eight corners: the
+    trilinear interpolant on the cell is a0 + a1 f1 + a2 f2 + a3 f3 + a4 f1f2 +
+    a5 f1f3 + a6 f2f3 + a7 f1f2f3, with a0 the base voxel's value. The rest
+    are forward differences along the axes of their f's: a1, a2, a3 those of
+    a0 along axes 1, 2, 3; a4 and a5 those of a1 along axes 2 and 3; a6 that
+    of a2 and a7 that of a4 along axis 3. The base is clipped to dims - 2, so
+    the upper corner is base + 1 on every axis except a one-voxel one, whose
+    stride is 0 and whose differences are 0."""
     d1, d2, d3 = volume.dims
     s1, s2, s3 = (d2 * d3 if d1 > 1 else 0), (d3 if d2 > 1 else 0), (1 if d3 > 1 else 0)
     flat = volume.data.ravel()
@@ -245,33 +227,30 @@ def _corner_coefficients(volume: Volume, i000: np.ndarray) -> list:
     a1 -= a0  # a1 = v100 - v000, and a2, a3 alike
     a2 -= a0
     a3 -= a0
-    a4 -= a1  # a4..a7 as `_cell_polynomials` takes them
+    a4 -= a1  # a4..a7 as differences of a1, a1, a2, a4
     a5 -= a1
     a6 -= a2
     a7 -= a4
     return a
 
 
-def _cell_sample(volume: Volume, idx, gradient: bool, table=None) -> tuple:
+def _cell_sample(volume: Volume, idx, gradient: bool) -> tuple:
     """Values of the trilinear interpolant at the per-axis voxel indices `idx`
     and, with gradient=True, a list of the three planes of its gradient per
     mm (else None), with no inside test: a point beyond a face takes the value
     on the face, and its gradient that of the outermost cell.
 
-    Each point's cell polynomial (`_cell_polynomials`) is gathered from
-    `table`, that volume's table, or else taken from the cell's corners by
-    `_corner_coefficients`: the same bits either way, so the table only saves
-    the differences. With h = a4 + f3 a7, q = a2 + f3 a6 and k = a6 + f1 a7:
-    dM/df1 = a1 + f3 a5 + f2 h, dM/df2 = q + f1 h, dM/df3 = a3 + f2 k + f1 a5
-    and M = a0 + f3 a3 + f2 q + f1 dM/df1. Both routes hold the coefficients
-    as eight separate arrays, not one (8, n) block, so only the four that
-    the result reuses outlive the call."""
+    Each point's cell polynomial is taken from the cell's corners by
+    `_corner_coefficients`. With h = a4 + f3 a7, q = a2 + f3 a6 and
+    k = a6 + f1 a7: dM/df1 = a1 + f3 a5 + f2 h, dM/df2 = q + f1 h,
+    dM/df3 = a3 + f2 k + f1 a5 and M = a0 + f3 a3 + f2 q + f1 dM/df1. The
+    coefficients are eight separate arrays, not one (8, n) block, so only the
+    four that the result reuses outlive the call."""
     i000, (f1, f2, f3) = _cell_of(volume.dims, idx)
     shape = i000.shape
     # flat rows: those of a 0-d gather would be scalars, which in-place ops do not write back
     i000, f1, f2, f3 = [x.reshape(-1) for x in (i000, f1, f2, f3)]
-    a = _corner_coefficients(volume, i000) if table is None else [row.take(i000) for row in table]
-    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    a0, a1, a2, a3, a4, a5, a6, a7 = _corner_coefficients(volume, i000)
     if gradient:
         k = np.multiply(f1, a7)
         k += a6
@@ -303,12 +282,11 @@ def _cell_sample(volume: Volume, idx, gradient: bool, table=None) -> tuple:
     return a0.reshape(shape), [g.reshape(shape) for g in (a1, a2, a3)]
 
 
-def _hull_faded_sample(volume: Volume, planes: np.ndarray, table=None) -> tuple:
+def _hull_faded_sample(volume: Volume, planes: np.ndarray) -> tuple:
     """The moving-image terms of the hull-faded data term at the (3, ...)
     planes of physical points: (M, grad M, w, grad w), gradients per mm, grad
     M as three planes and grad w as (3, ...) planes. M and grad M are as
-    `_cell_sample` gives them, from the volume's `_cell_polynomials` table if
-    one is given.
+    `_cell_sample` gives them.
 
     The fade is w = w1 w2 w3 with w_d = clip(min(i_d, n_d - 1 - i_d), 0, 1)
     at voxel index i_d: 0 on the faces of the voxel-centre hull and beyond
@@ -319,7 +297,7 @@ def _hull_faded_sample(volume: Volume, planes: np.ndarray, table=None) -> tuple:
     `trilinear_sample`.
     """
     idx = [(planes[d] - volume.origin[d]) / volume.spacing[d] for d in range(3)]
-    values, grads = _cell_sample(volume, idx, True, table)
+    values, grads = _cell_sample(volume, idx, True)
     fades, dw = [], np.zeros((3,) + values.shape)
     for d, (i, n) in enumerate(zip(idx, volume.dims)):
         if n <= 2:

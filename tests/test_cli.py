@@ -425,6 +425,7 @@ def test_register_nan_volume_is_a_data_error(tmp_path, capsys):
     ("penalty", "--grid", "g.bspg", "--method", "numeric", "--dump-gradient", "d.bspg"),
     ("penalty", "--grid", "g.bspg", "--method", "quadrature", "--dump-gradient", "d.bspg"),
     ("register", "--fixed", "f.vol", "--moving", "m.vol", "--sweep-regularizer", "curvature"),
+    ("metrics", "--grid", "g.bspg", "--landmark-origin", "100", "100", "100"),
 ])
 def test_thread_flag_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:

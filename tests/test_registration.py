@@ -122,32 +122,6 @@ def test_mse_slabs_match_unsliced_reference(dims):
     assert gradient.tobytes() == ref_gradient.tobytes()
 
 
-def _slab_pair(dims):
-    moving = blob_volume(dims=dims, seed=21)
-    fixed = blob_volume(dims=dims, seed=22)
-    grid = vio.make_smooth_grid(vio.covering_geometry(fixed, (8.0, 8.0, 8.0)), amplitude=3.0, smoothness=20.0, seed=5)
-    grid.coefficients[np.array(dims) == 1] = 0.0  # keep points on a one-voxel axis's plane
-    return fixed, moving, grid
-
-
-@pytest.mark.parametrize("dims", [(37, 38, 35), (20, 1, 24), (3, 200, 200)])
-def test_mse_cell_table_matches_corner_path(dims):
-    """The moving image's cell-polynomial table is a cache: value and gradient
-    are bitwise equal with and without it."""
-    fixed, moving, grid = _slab_pair(dims)
-    value, gradient = reg.mse_cost_grad(fixed, moving, grid)
-    got_value, got_gradient = reg.mse_cost_grad(fixed, moving, grid, vio._cell_polynomials(moving))
-    assert value > 0 and got_value == value
-    assert got_gradient.tobytes() == gradient.tobytes()
-
-
-def test_mse_cell_table_must_fit_the_moving_image():
-    vol = blob_volume(dims=(6, 5, 4))
-    grid = core.ControlPointGrid.zeros(vio.covering_geometry(vol, (8.0, 8.0, 8.0)))
-    with pytest.raises(ValueError, match="cell table"):
-        reg.mse_cost_grad(vol, vol, grid, vio._cell_polynomials(blob_volume(dims=(6, 5, 5))))
-
-
 def test_mse_cost_continuous_across_the_hull():
     """A uniform translation that carries the outermost voxel centres across the
     moving image's hull changes the cost continuously: the fade takes a sample
@@ -225,26 +199,6 @@ def test_mse_cost_grad_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * volume, f"peak {peak / volume:.1f} volumes"
-
-
-def test_mse_cell_table_peak_memory_no_higher():
-    """At 64^3, with the table built beforehand, an evaluation on the table
-    path peaks no higher than one on the corner path."""
-    moving = blob_volume(dims=(64, 64, 64), seed=21)
-    fixed = blob_volume(dims=(64, 64, 64), seed=22)
-    geom = vio.covering_geometry(fixed, (8.0, 8.0, 8.0))
-    grid = vio.make_smooth_grid(geom, amplitude=3.0, smoothness=20.0, seed=5)
-    table = vio._cell_polynomials(moving)
-    peaks = []
-    for cell_table in (None, table):
-        reg.mse_cost_grad(fixed, moving, grid, cell_table)
-        tracemalloc.start()
-        try:
-            reg.mse_cost_grad(fixed, moving, grid, cell_table)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0], f"table path {peaks[1]} B, corner path {peaks[0]} B"
 
 
 def test_mse_geometry_mismatch_rejected():
@@ -341,9 +295,9 @@ def test_stage_evaluations_count_cost_calls(monkeypatch):
     calls = []
     mse = reg.mse_cost_grad
 
-    def counted(fixed, moving, grid, table=None):
+    def counted(fixed, moving, grid):
         calls.append(grid.geometry.tile_spacing)
-        return mse(fixed, moving, grid, table)
+        return mse(fixed, moving, grid)
 
     monkeypatch.setattr(reg, "mse_cost_grad", counted)
     moving = blob_volume(dims=(20, 20, 20), seed=11)
@@ -360,25 +314,19 @@ def test_stage_evaluations_count_cost_calls(monkeypatch):
     assert all(h.evaluations >= h.iterations + 1 for h in history)
 
 
-def test_optimize_builds_one_cell_table_per_stage(monkeypatch):
-    """Each stage builds its moving image's cell table once and passes it to
-    every evaluation; only a downsampled stage copies the images, and no
-    stage builds a V bank."""
-    tables, downsampled, evaluated = [], [], []
-    build, down, mse = reg._cell_polynomials, reg.box_downsample, reg.mse_cost_grad
+def test_optimize_copies_only_downsampled_stages(monkeypatch):
+    """Only a downsampled stage copies the images: the full-resolution stage
+    evaluates the caller's moving image itself, and no stage builds a V bank."""
+    downsampled, evaluated = [], []
+    down, mse = reg.box_downsample, reg.mse_cost_grad
 
-    def built(volume):
-        tables.append(build(volume))
-        return tables[-1]
-
-    def counted(fixed, moving, grid, table=None):
-        evaluated.append((moving, table))
-        return mse(fixed, moving, grid, table)
+    def counted(fixed, moving, grid):
+        evaluated.append(moving)
+        return mse(fixed, moving, grid)
 
     def no_bank(*args):
         raise AssertionError("optimize built a V bank")
 
-    monkeypatch.setattr(reg, "_cell_polynomials", built)
     monkeypatch.setattr(reg, "box_downsample", lambda volume, factor: downsampled.append(factor) or down(volume, factor))
     monkeypatch.setattr(reg, "mse_cost_grad", counted)
     monkeypatch.setattr(ra, "build_vbank", no_bank)
@@ -394,10 +342,10 @@ def test_optimize_builds_one_cell_table_per_stage(monkeypatch):
     )
     _, history = reg.optimize(fixed, moving, config)
     assert downsampled == [2, 2]
-    assert len(tables) == 2 and len(evaluated) == sum(h.evaluations for h in history)
+    assert len(evaluated) == sum(h.evaluations for h in history)
     first = history[0].evaluations
-    assert all(t is tables[0] and m.dims == (10, 10, 10) for m, t in evaluated[:first])
-    assert all(t is tables[1] and m is moving for m, t in evaluated[first:])
+    assert all(m.dims == (10, 10, 10) for m in evaluated[:first])
+    assert all(m is moving for m in evaluated[first:])
 
 
 def test_optimize_line_search_rarely_backtracks():

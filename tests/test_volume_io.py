@@ -313,29 +313,42 @@ def test_trilinear_outside_is_masked():
     assert values[0] == 0.0
 
 
+def _forward_differences(vol):
+    """(8, N) reference coefficients a0..a7 of every voxel's cell polynomial,
+    N voxels in C order: each a_k a forward difference along the axes of its
+    f's, 0 at an axis's last voxel, so a one-voxel axis has no variation."""
+    table = np.empty((8,) + vol.dims)
+    table[0] = vol.data
+    for row, src, axis in ((1, 0, 0), (2, 0, 1), (3, 0, 2), (4, 1, 1), (5, 1, 2), (6, 2, 2), (7, 4, 2)):
+        lower, out = np.moveaxis(table[src], axis, 0), np.moveaxis(table[row], axis, 0)
+        np.subtract(lower[1:], lower[:-1], out=out[:-1])
+        out[-1] = 0.0
+    return table.reshape(8, -1)
+
+
 @pytest.mark.parametrize("dims", [(9, 8, 7), (1, 6, 5), (7, 2, 1), (2, 1, 2)])
-def test_cell_polynomials_match_corner_interpolation(dims):
-    """Gathering the per-cell polynomial table and taking the coefficients
-    from each cell's corners give the same bits, values alone too: inside the
-    image, exactly on its faces and beyond them, on axes of one and two
-    voxels too."""
+def test_corner_coefficients_are_forward_differences(dims):
+    """The coefficients taken from each cell's corners are, bit for bit, the
+    forward differences of the image: inside it, exactly on its faces and
+    beyond them, on axes of one and two voxels too. Values alone equal the
+    values of the gradient route."""
     rng = np.random.default_rng(sum(dims))
     vol = vio.Volume(rng.normal(size=dims), spacing=(1.5, 2.0, 0.75), origin=(-3.0, 1.0, 2.5))
-    table = vio._cell_polynomials(vol)
-    assert table.shape == (8, vol.data.size)
     idx = []
     for n in dims:
         faces = np.array([0.0, n - 1.0, 0.0, n - 1.0])
         beyond = np.array([-1.5, -0.25, n - 0.75, n + 0.7])
         idx.append(np.concatenate([rng.uniform(0.0, n - 1.0, 300), rng.permutation(faces), rng.permutation(beyond)]))
     idx = [rng.permuted(np.tile(i, 5))[:1000].reshape(10, 100) for i in idx]  # mixes faces, beyond, inside
-    want, want_grads = vio._cell_sample(vol, idx, True)
-    got, got_grads = vio._cell_sample(vol, idx, True, table)
-    for g, w in zip([got, *got_grads], [want, *want_grads], strict=True):
-        assert g.shape == w.shape == (10, 100) and g.tobytes() == w.tobytes()
-    for cell_table in (None, table):
-        values, none = vio._cell_sample(vol, idx, False, cell_table)
-        assert none is None and values.tobytes() == want.tobytes()
+    i000, _ = vio._cell_of(vol.dims, idx)
+    want = _forward_differences(vol)[:, i000.ravel()]
+    got = vio._corner_coefficients(vol, i000.ravel())
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
+    values, grads = vio._cell_sample(vol, idx, True)
+    only, none = vio._cell_sample(vol, idx, False)
+    assert none is None and len(grads) == 3
+    assert only.shape == values.shape == (10, 100) and only.tobytes() == values.tobytes()
 
 
 def test_warp_volume_identity():
