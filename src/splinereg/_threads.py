@@ -7,6 +7,7 @@ import ctypes
 import functools
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -55,33 +56,51 @@ def _warn_unpinned():
     )
 
 
+def _pin_blas():
+    """Limit BLAS/OpenMP pools to one thread; return the call that undoes it."""
+    if threadpool_limits is not None:
+        return threadpool_limits(limits=1).restore_original_limits
+    controls = _openblas_thread_controls()
+    if controls is None:
+        _warn_unpinned()
+        return lambda: None
+    get_threads, set_threads = controls
+    previous = get_threads()
+    set_threads(1)
+    return lambda: set_threads(previous)
+
+
+# The pool sizes are process-wide, so blocks entered from any thread share one
+# pinning: the first entry pins, the last exit undoes it.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_unpin = None
+
+
 @contextlib.contextmanager
 def single_threaded_blas():
     """Limit BLAS/OpenMP pools to one thread for the duration of the block.
 
-    Library-level parallelism is managed explicitly (coefficient components);
+    Library-level parallelism is managed explicitly (component groups);
     letting BLAS spawn its own workers underneath would both oversubscribe the
     machine and make single-thread baselines meaningless. Uses threadpoolctl
-    when installed, else numpy's bundled OpenBLAS through ctypes, restoring
-    the previous count on exit; with neither it warns once on stderr. The
-    count is process-wide, so enter the block from one thread at a time.
+    when installed, else numpy's bundled OpenBLAS through ctypes; with neither
+    it warns once on stderr. Blocks nest, also across threads: the count stays
+    1 until the last open block exits, which restores the count from before
+    the first one entered.
     """
-    if threadpool_limits is not None:
-        with threadpool_limits(limits=1):
-            yield
-        return
-    controls = _openblas_thread_controls()
-    if controls is None:
-        _warn_unpinned()
-        yield
-        return
-    get_threads, set_threads = controls
-    previous = get_threads()
-    set_threads(1)
+    global _pin_depth, _unpin
+    with _pin_lock:
+        if _pin_depth == 0:
+            _unpin = _pin_blas()
+        _pin_depth += 1
     try:
         yield
     finally:
-        set_threads(previous)
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                _unpin()
 
 
 def blas_environment() -> dict:

@@ -9,10 +9,10 @@ Progress and notes always go to stderr. Exit codes: 0 success, 2 usage,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,23 +51,13 @@ def _short(v):
 
 
 def _weights_from_args(args) -> analytic.RegularizerWeights:
-    return analytic.RegularizerWeights(
-        diffusion=args.diffusion,
-        curvature=args.curvature,
-        linear_elastic=args.linear_elastic,
-        third_order=args.third_order,
-        total_displacement=args.total_displacement,
-    )
+    return analytic.RegularizerWeights(**{n: getattr(args, n) for n in analytic.REGULARIZER_NAMES})
 
 
 def _add_weight_flags(p: argparse.ArgumentParser):
-    p.add_argument("--diffusion", type=_weight, default=0.0, help="weight mu1")
-    p.add_argument("--curvature", type=_weight, default=0.0, help="weight mu2")
-    p.add_argument("--linear-elastic", dest="linear_elastic", type=_weight, default=0.0, help="weight mu3")
-    p.add_argument("--third-order", dest="third_order", type=_weight, default=0.0, help="weight mu4")
-    p.add_argument(
-        "--total-displacement", dest="total_displacement", type=_weight, default=0.0, help="weight mu5"
-    )
+    for mu, name in enumerate(analytic.REGULARIZER_NAMES, start=1):
+        p.add_argument("--" + name.replace("_", "-"), type=_weight, default=0.0,
+                       help=f"weight mu{mu}")
 
 
 def _int_at_least(low: int):
@@ -157,10 +147,9 @@ def cmd_compare(args) -> int:
     weights = analytic.RegularizerWeights()
     spec = numeric.SamplingSpec.voxel_grid(tuple(args.voxel_spacing), args.boundary)
 
-    with single_threaded_blas():
-        t0 = time.perf_counter()
-        res = analytic.penalty(grid, weights, with_gradient=False)
-        analytic_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    res = analytic.penalty(grid, weights, with_gradient=False)
+    analytic_seconds = time.perf_counter() - t0
 
     rows = []
     for n, name in enumerate(analytic.REGULARIZER_NAMES):
@@ -189,40 +178,25 @@ def cmd_compare(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BenchReport:
-    """Timed runs for one benchmark configuration."""
-
-    runs: dict = field(default_factory=dict)  # label -> list of wall-times (s)
-
-    def record(self, label: str, seconds: float):
-        if seconds <= 0:
-            raise ValueError(f"non-positive wall time recorded for {label}")
-        self.runs.setdefault(label, []).append(seconds)
-
-    def best(self, label: str) -> float:
-        return min(self.runs[label])
-
-    def mean(self, label: str) -> float:
-        return float(np.mean(self.runs[label]))
-
-
-def _timed(fn, repeats: int, report: BenchReport, label: str):
-    fn()  # warm-up run: first call pays cache and allocator costs
+def _timed(fn, repeats: int) -> dict:
+    """Min and mean wall time (s) of `repeats` calls of fn, after a warm-up call
+    that pays cache and allocator costs."""
+    fn()
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        report.record(label, time.perf_counter() - t0)
+        times.append(time.perf_counter() - t0)
+    if min(times) <= 0:
+        raise ValueError("non-positive wall time recorded")
+    return {"seconds_min": min(times), "seconds_mean": float(np.mean(times))}
 
 
 def cmd_bench(args) -> int:
     dims = tuple(args.dims)
     vsp = tuple(args.voxel_spacing)
     gsp = tuple(args.grid_spacing)
-    extent = tuple((d - 1) * s for d, s in zip(dims, vsp))
-    geometry = core.GridGeometry(
-        tuple(max(1, int(np.ceil(e / g - 1e-9))) for e, g in zip(extent, gsp)), gsp
-    )
+    geometry = vio.covering_geometry(vio.Volume(np.broadcast_to(0.0, dims), vsp), gsp)
     grid = vio.make_smooth_grid(geometry, amplitude=5.0, smoothness=2.0 * max(gsp), seed=args.seed)
     spec = numeric.SamplingSpec.voxel_grid(vsp)
     weights = analytic.RegularizerWeights()
@@ -240,67 +214,29 @@ def cmd_bench(args) -> int:
         "physical_cores": physical_core_count(),
         **blas_environment(),
     }
-    report = BenchReport()
-    rows = []
 
     _note(f"bench: {geometry.tile_total} tiles, {np.prod(dims)} voxels, {args.repeats} repeats")
-    _timed(lambda: analytic.penalty(grid, weights, with_gradient=False), args.repeats, report, "analytic")
-    rows.append(
-        {
-            "command": "bench",
-            "kind": "analytic",
-            "seconds_min": report.best("analytic"),
-            "seconds_mean": report.mean("analytic"),
-            **config,
-        }
-    )
+    analytic_time = _timed(lambda: analytic.penalty(grid, weights, with_gradient=False), args.repeats)
+    rows = [{"command": "bench", "kind": "analytic", **analytic_time, **config}]
 
     if not args.skip_numeric:
         for n, name in enumerate(analytic.REGULARIZER_NAMES):
-            label = f"numeric:{name}"
             with single_threaded_blas():
-                _timed(
-                    lambda n=n: numeric.fd_penalty(grid, weights, spec, terms=[n]),
-                    max(3, args.repeats // 4),
-                    report,
-                    label,
-                )
-            rows.append(
-                {
-                    "command": "bench",
-                    "kind": "numeric",
-                    "regularizer": name,
-                    "seconds_min": report.best(label),
-                    "seconds_mean": report.mean(label),
-                    "speedup": report.best(label) / report.best("analytic"),
-                    **config,
-                }
-            )
+                t = _timed(lambda n=n: numeric.fd_penalty(grid, weights, spec, terms=[n]),
+                           max(3, args.repeats // 4))
+            speedup = t["seconds_min"] / analytic_time["seconds_min"]
+            rows.append({"command": "bench", "kind": "numeric", "regularizer": name, **t,
+                         "speedup": speedup, **config})
 
-    thread_counts = sorted(set(args.thread_list or [1]))
     base = None
-    for nt in thread_counts:
-        label = f"threads:{nt}"
-        _timed(
-            lambda nt=nt: analytic.penalty_parallel(grid, weights, thread_count=nt),
-            args.repeats,
-            report,
-            label,
-        )
-        best = report.best(label)
+    for nt in sorted(set(args.thread_list or [1])):
+        t = _timed(lambda nt=nt: analytic.penalty_parallel(grid, weights, thread_count=nt), args.repeats)
         if nt == 1:
-            base = best
-        row = {
-            "command": "bench",
-            "kind": "scaling",
-            "threads": nt,
-            "seconds_min": best,
-            "seconds_mean": report.mean(label),
-            **config,
-        }
+            base = t["seconds_min"]
+        row = {"command": "bench", "kind": "scaling", "threads": nt, **t, **config}
         if base is not None:  # speedup is relative to the 1-thread run
-            row["speedup"] = base / best
-            row["efficiency"] = base / best / nt
+            row["speedup"] = base / t["seconds_min"]
+            row["efficiency"] = row["speedup"] / nt
         rows.append(row)
     _emit(rows, args)
     return EXIT_OK
@@ -368,10 +304,7 @@ def cmd_register(args) -> int:
     for sweep_value in sweep:
         weights = _weights_from_args(args)
         if sweep_value is not None:
-            weights = analytic.RegularizerWeights(
-                **{**{n: getattr(weights, n) for n in analytic.REGULARIZER_NAMES},
-                   args.sweep_regularizer: sweep_value}
-            )
+            weights = dataclasses.replace(weights, **{args.sweep_regularizer: sweep_value})
         config = reg.RegistrationConfig(stages=stages, weights=weights, optimizer=optimizer)
         _note(f"registering with weights {weights}")
         result, grid, warped = _run_registration(fixed, moving, config, landmarks)

@@ -15,8 +15,9 @@ products then give every term at once, with no per-tile gather or scatter.
 `penalty` runs the three coefficient components through these stages in
 groups whose 20 products fit 2^17 float64 (1 MiB): all three at once on
 lattices of up to 2184 points (9^3 tiles), two up to 3276, else one at a
-time. `penalty_parallel` runs one component per thread. Each matrix product
-is the same for any grouping, so both are bitwise equal at every group size
+time. `penalty_parallel` shares the same groups out over worker threads, so
+a lattice of one group starts no thread. Each matrix product is the same for
+any grouping and any thread, so both are bitwise equal at every group size
 and thread count.
 
 Five penalties are assembled:
@@ -325,10 +326,10 @@ def _component_share(p: np.ndarray, axis_ops, delta_weights, with_gradient: bool
 _GROUP_FLOATS = 2 ** 17
 
 
-def _component_groups(lattice_size: int, thread_count: int) -> tuple:
-    """Slices of consecutive components sharing one `_component_share` pass:
-    one per thread task in parallel, else as many as `_GROUP_FLOATS` holds."""
-    size = 1 if thread_count > 1 else max(1, _GROUP_FLOATS // (len(_DELTAS) * lattice_size))
+def _component_groups(lattice_size: int) -> tuple:
+    """Slices of consecutive components sharing one `_component_share` pass,
+    as many as `_GROUP_FLOATS` holds; threads only share these slices out."""
+    size = max(1, _GROUP_FLOATS // (len(_DELTAS) * lattice_size))
     return tuple(slice(c, min(c + size, 3)) for c in range(0, 3, size))
 
 
@@ -363,8 +364,9 @@ def penalty_parallel(
     thread_count: int = 1,
     with_gradient: bool = True,
 ) -> PenaltyResult:
-    """Same contract as `penalty`, with the three coefficient components on up
-    to three worker threads. Shares and cross terms merge in fixed order, so
+    """Same contract as `penalty`, with its component groups shared out over up
+    to `thread_count` worker threads; a lattice of one group (up to 9^3 tiles)
+    runs on the calling thread. Shares and cross terms merge in fixed order, so
     every thread count gives results bitwise identical to `penalty`.
     """
     if thread_count < 1:
@@ -381,17 +383,18 @@ def _lattice_penalty(grid, weights, bank, with_gradient: bool, thread_count: int
     warr = weights.as_array()
     delta_weights = _SQUARE_MULTS @ warr
     coeffs = grid.coefficients
-    groups = _component_groups(coeffs[0].size, thread_count)
+    groups = _component_groups(coeffs[0].size)
 
     def share(group):
         return _component_share(coeffs[group], axis_ops, delta_weights, with_gradient)
 
     with single_threaded_blas():
-        if thread_count == 1:
-            shares = [pair for g in groups for pair in share(g)]
+        if thread_count > 1 and len(groups) > 1:
+            with ThreadPoolExecutor(max_workers=min(thread_count, len(groups))) as pool:
+                parts = list(pool.map(share, groups))
         else:
-            with ThreadPoolExecutor(max_workers=min(thread_count, 3)) as pool:
-                shares = [pair for pairs in pool.map(share, groups) for pair in pairs]
+            parts = [share(g) for g in groups]
+        shares = [pair for pairs in parts for pair in pairs]
 
         terms5 = np.zeros(5)
         for products, _ in shares:

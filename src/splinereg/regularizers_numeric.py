@@ -205,7 +205,10 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
     least 4 samples per tile per axis. `terms` optionally restricts which of
     S1..S5 (0-based) are computed; the rest stay zero. No gradient.
     """
-    wanted = frozenset(range(5)) if terms is None else frozenset(int(t) for t in terms)
+    wanted = frozenset(range(5) if terms is None else terms)
+    for t in wanted:
+        if not isinstance(t, (int, np.integer)) or not 0 <= t <= 4:
+            raise ValueError(f"terms must be integers 0..4 (S1..S5), got {t!r}")
     axes, steps = sample_axes(grid.geometry, spec)
     for d in range(3):
         per_tile = grid.geometry.tile_spacing[d] / steps[d]

@@ -440,12 +440,13 @@ def _result_bytes(res):
 ])
 def test_grouped_components_bitwise_equal_to_one_per_group(tiles, sizes, monkeypatch):
     """Components sharing one pass of the lattice kernel give the bits each
-    gives alone, and every thread count (one component per task) gives them too."""
+    gives alone, and every thread count (sharing out the same groups) gives
+    them too."""
     grid = random_grid(tiles, (8.0, 9.0, 7.5), seed=16)
     bank = ra.build_vbank(grid.geometry.tile_spacing)
     weights = ra.RegularizerWeights(0.5, 1.0, 0.25, 2.0, 0.01)
     lattice_size = grid.coefficients[0].size
-    groups = ra._component_groups(lattice_size, thread_count=1)
+    groups = ra._component_groups(lattice_size)
     assert [g.stop - g.start for g in groups] == sizes
     for with_gradient in (True, False):
         grouped = ra.penalty(grid, weights, bank, with_gradient=with_gradient)
@@ -454,9 +455,22 @@ def test_grouped_components_bitwise_equal_to_one_per_group(tiles, sizes, monkeyp
             assert _result_bytes(parallel) == _result_bytes(grouped)
         with monkeypatch.context() as m:
             m.setattr(ra, "_GROUP_FLOATS", 1)
-            assert len(ra._component_groups(lattice_size, thread_count=1)) == 3
+            assert len(ra._component_groups(lattice_size)) == 3
             alone = ra.penalty(grid, weights, bank, with_gradient=with_gradient)
         assert _result_bytes(alone) == _result_bytes(grouped)
+
+
+def test_parallel_starts_no_thread_for_one_group(monkeypatch):
+    """A lattice whose components share one group runs on the calling thread."""
+    grid = random_grid((3, 4, 5), (8.0, 9.0, 7.5), seed=17)
+    weights = ra.RegularizerWeights(0.5, 1.0, 0.25, 2.0, 0.01)
+    serial = ra.penalty(grid, weights)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("penalty_parallel started a thread pool for one group")
+
+    monkeypatch.setattr(ra, "ThreadPoolExecutor", no_pool)
+    assert _result_bytes(ra.penalty_parallel(grid, weights, thread_count=3)) == _result_bytes(serial)
 
 
 def test_scale_covariance_against_gauss_oracle():

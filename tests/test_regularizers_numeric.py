@@ -142,6 +142,9 @@ def test_fd_penalty_terms_subset():
     only2 = rn.fd_penalty(grid, NO_WEIGHTS, spec, terms=[1])
     assert only2.terms[1] == full.terms[1]
     assert only2.terms[0] == 0.0 and only2.terms[3] == 0.0
+    for bad in (-1, 5, 1.7):  # out of range, and a float that int() would truncate
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            rn.fd_penalty(grid, NO_WEIGHTS, spec, terms=[bad])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """BLAS pool pinning, checked against numpy's bundled OpenBLAS directly."""
 
 import ctypes
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,22 +27,85 @@ def _openblas_threads():
     return None
 
 
-def test_single_threaded_blas_pins_and_restores():
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread-count getter, with the count set to 2 for the test
+    and restored after it."""
     controls = _openblas_threads()
     if controls is None:
         pytest.skip("numpy does not bundle an OpenBLAS with thread controls")
     get, put = controls
     original = get()
     put(2)
-    try:
+    yield get
+    put(original)
+
+
+def test_single_threaded_blas_pins_and_restores(blas_threads):
+    get = blas_threads
+    with single_threaded_blas():
+        assert get() == 1
         with single_threaded_blas():
             assert get() == 1
+        assert get() == 1
+    assert get() == 2
+
+
+def test_single_threaded_blas_nests_across_threads(blas_threads):
+    """A enters, B enters, A exits: B still runs pinned, and B's exit restores
+    the count from before A entered."""
+    get = blas_threads
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def first():
+        with single_threaded_blas():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def second():
+        a_in.wait(10)
+        with single_threaded_blas():
+            b_in.set()
+            a_out.wait(10)
+            seen["inside"] = get()
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+    assert not any(t.is_alive() for t in threads)
+    assert a_out.is_set() and seen.get("inside") == 1
+    assert get() == 2
+
+
+def test_single_threaded_blas_holds_under_concurrent_blocks(blas_threads):
+    """More threads than cores enter and leave blocks with a short switch
+    interval: every block runs pinned, and the count ends where it started."""
+    get = blas_threads
+    interval = sys.getswitchinterval()
+    unpinned = []
+
+    def worker():
+        for _ in range(2000):
             with single_threaded_blas():
-                assert get() == 1
-            assert get() == 1
+                if get() != 1:
+                    unpinned.append(get())
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+        assert not unpinned
         assert get() == 2
     finally:
-        put(original)
+        sys.setswitchinterval(interval)
 
 
 def test_single_threaded_blas_warns_once_when_it_cannot_pin(monkeypatch, capsys):
