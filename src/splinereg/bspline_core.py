@@ -31,7 +31,7 @@ MIN_TILE_SPACING = 1e-6  # mm; below this the 1/r^3 scaling is meaningless
 # so that points computed as `origin + n * spacing` land inside despite rounding.
 _EXTENT_SLACK = 1e-9
 
-_SLAB_POINTS = 32768  # sample points per slab: a slab's temporaries stay in cache
+_SLAB_POINTS = 16384  # sample points per row block of every separable contraction (`_slabs`)
 
 
 def _derivative_matrix(order: int) -> np.ndarray:
@@ -320,19 +320,22 @@ def axis_weight_matrix(geometry: GridGeometry, axis: int, coords, order: int = 0
 
 
 def _slabs(shape, points: int = _SLAB_POINTS) -> list:
-    """Slabs of whole first-axis rows of a (S1, S2, S3) grid, ~`points` points each."""
+    """Slabs of whole first-axis rows of a (S1, S2, S3) grid, ~`points` points each;
+    by default the row blocks in which `_contract` and `scatter_separable` make
+    their BLAS products, so a whole call has the bits of the same calls slab by slab."""
     rows = max(1, points // (shape[1] * shape[2]))
     return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
 
 
 def _contract(lattice: np.ndarray, w1: np.ndarray, w2: np.ndarray, w3: np.ndarray) -> np.ndarray:
-    return _contract23(np.tensordot(w1, lattice, axes=(1, 0)), w2, w3)  # (S1, P2, P3) first
-
-
-def _contract23(partial: np.ndarray, w2: np.ndarray, w3: np.ndarray) -> np.ndarray:
-    """Axes 2 and 3 of the separable contraction: (S1, P2, P3) -> (S1, S2, S3)."""
-    out = np.tensordot(partial, w2, axes=(1, 1))  # (S1, P3, S2)
-    return np.tensordot(out, w3, axes=(1, 1))     # (S1, S2, S3)
+    # each product is the one np.tensordot makes along the same axes, minus its argument handling
+    (p1, p2, p3), s2, s3 = lattice.shape, len(w2), len(w3)
+    out, flat = np.empty((len(w1), s2, s3)), lattice.reshape(p1, -1)
+    for part in _slabs(out.shape):
+        block = np.dot(w1[part], flat).reshape(-1, p2, p3).transpose(0, 2, 1).reshape(-1, p2)
+        block = np.dot(block, w2.T).reshape(-1, p3, s2).transpose(0, 2, 1).reshape(-1, p3)
+        np.dot(block, w3.T, out=out[part].reshape(-1, s3))
+    return out
 
 
 def _sample_planes(grid: ControlPointGrid, ws) -> np.ndarray:
@@ -366,11 +369,14 @@ def sample_partial(grid: ControlPointGrid, axes, component: int, orders) -> np.n
 
 def scatter_separable(values: np.ndarray, w1: np.ndarray, w2: np.ndarray, w3: np.ndarray) -> np.ndarray:
     """Adjoint of the separable contraction: accumulate per-sample values into
-    a lattice-shaped array using the same weight matrices."""
-    out = np.tensordot(values, w3, axes=(2, 0))  # (S1, S2, P3)
-    out = np.tensordot(out, w2, axes=(1, 0))     # (S1, P3, P2)
-    out = np.tensordot(out, w1, axes=(0, 0))     # (P3, P2, P1)
-    return out.transpose(2, 1, 0)
+    a lattice-shaped array using the same weight matrices, from zeros."""
+    (_, s2, s3), p1, p2, p3 = values.shape, w1.shape[1], w2.shape[1], w3.shape[1]
+    out = np.zeros((p1, p2, p3))
+    for part in _slabs(values.shape):
+        block = np.dot(values[part].reshape(-1, s3), w3).reshape(-1, s2, p3).transpose(0, 2, 1)
+        block = np.dot(block.reshape(-1, s2), w2).reshape(-1, p3, p2).transpose(1, 2, 0)
+        out += np.dot(block.reshape(p3 * p2, -1), w1[part]).reshape(p3, p2, p1).transpose(2, 1, 0)
+    return out
 
 
 def monomial_lattice_1d(positions: np.ndarray, spacing: float, power: int) -> np.ndarray:

@@ -91,19 +91,16 @@ def jacobian_map(grid: core.ControlPointGrid, spec: SamplingSpec) -> tuple:
     First derivatives come from the basis (analytic), not finite differences,
     so folds are detected at the resolution of the sampling only. The per-axis
     weights of orders 0 and 1 are built once, and the determinant is taken
-    slab by slab from the nine partials: beyond the output, memory holds the
-    six first-axis contractions and one slab's partials.
+    from the nine partials one `core._slabs` row block at a time, the blocks
+    of `core._contract` itself: memory holds one block's partials beyond the map.
     """
     axes, steps = sample_axes(grid.geometry, spec)
     ws = [[core.axis_weight_matrix(grid.geometry, e, axes[e], o) for o in (0, 1)] for e in range(3)]
-    # The first axis is contracted whole: BLAS can round a product of a few
-    # weight rows differently from the same rows of the whole product.
-    firsts = [[np.tensordot(w, grid.coefficients[c], axes=(1, 0)) for w in ws[0]] for c in range(3)]
     det = np.empty(tuple(len(a) for a in axes))
     for part in core._slabs(det.shape):
         # d nu_c / d x_d: derivative order (d == e) along each axis e
-        jac = [[core._contract23(firsts[c][d == 0][part], ws[1][d == 1], ws[2][d == 2])
-                for d in range(3)] for c in range(3)]
+        jac = [[core._contract(grid.coefficients[c], ws[0][d == 0][part], ws[1][d == 1],
+                               ws[2][d == 2]) for d in range(3)] for c in range(3)]
         for c in range(3):
             jac[c][c] += 1.0
         det[part] = (

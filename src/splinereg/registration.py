@@ -102,12 +102,12 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) ->
 
     M and grad M come from one kernel, `volume_io._cell_sample`, which takes
     them from each sample's cell polynomial, differenced from the cell's
-    eight corners, by shared factors. The samples are walked in slabs of half
-    `core._SLAB_POINTS`, whose temporaries (eight coefficient arrays and
-    more per point) fit in cache better than whole slabs': on 2 x86-64 vCPUs
-    an evaluation was faster with half slabs in 39 of 40 alternating rounds
-    at 48^3 voxels (min 14.6 against 17.0 ms) and in 18 of 24 at 64^3 (34.5
-    against 35.4 ms), with the same bits (`BENCH_one_route.json`).
+    eight corners, by shared factors. Each `core._slabs` row block is warped,
+    sampled, faded and scattered in turn, with the bits of whole-volume steps;
+    only the cost is whole, so that its sum keeps its bits. The block budget
+    suits these temporaries: on 2 x86-64 vCPUs an evaluation was faster with it
+    than with twice it in 39 of 40 alternating rounds at 48^3 voxels (min 14.6
+    against 17.0 ms) and 18 of 24 at 64^3 (34.5 against 35.4 ms, `BENCH_one_route.json`).
     """
     if not fixed.same_geometry(moving):
         raise ValueError("fixed and moving volumes must share dims, spacing and origin")
@@ -121,10 +121,10 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) ->
         raise ValueError("grid extent does not cover the fixed image")
 
     ws = [core.axis_weight_matrix(geometry, d, axes[d], 0) for d in range(3)]
-    planes = _warped_planes(grid, axes, ws)
-    cost, weighted = np.empty(fixed.dims), np.empty((3,) + fixed.dims)
-    for part in core._slabs(fixed.dims, core._SLAB_POINTS // 2):
-        m_vals, m_grads, fade, fade_grads = _hull_faded_sample(moving, planes[:, part])
+    cost, gradient = np.empty(fixed.dims), np.zeros((3,) + geometry.lattice_shape)
+    for part in core._slabs(fixed.dims):
+        planes = _warped_planes(grid, axes, ws, part)
+        m_vals, m_grads, fade, fade_grads = _hull_faded_sample(moving, planes)
         # in place on the slab's own arrays, which bound the peak memory
         diff = np.subtract(m_vals, fixed.data[part], out=m_vals)
         faded = np.multiply(fade, diff, out=fade)
@@ -132,11 +132,10 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) ->
         square = np.multiply(diff, diff, out=diff)
         twice = np.multiply(faded, 2.0, out=faded)
         for c in range(3):
-            out = np.multiply(twice, m_grads[c], out=weighted[c, part])
-            out += np.multiply(square, fade_grads[c], out=fade_grads[c])
-    value = float(np.sum(cost))
-    gradient = np.stack([core.scatter_separable(weighted[c], *ws) for c in range(3)])
-    return value, gradient
+            weighted = np.multiply(twice, m_grads[c], out=m_grads[c])
+            weighted += np.multiply(square, fade_grads[c], out=fade_grads[c])
+            gradient[c] += core.scatter_separable(weighted, ws[0][part], ws[1], ws[2])
+    return float(np.sum(cost)), gradient
 
 
 def fit_grid_to_field(
@@ -267,11 +266,6 @@ def optimize(fixed: Volume, moving: Volume, config: RegistrationConfig) -> tuple
             stage_grid = fit_grid_to_field(geometry, axes, samples)
 
         shape = (3,) + geometry.lattice_shape
-        # glibc gives freed heap memory back to the OS above a threshold that
-        # rises with the largest mapped block freed so far (up to 32 MiB).
-        # Freeing one such block here keeps the evaluations' temporaries in
-        # the heap instead of faulting them in afresh on every evaluation.
-        np.empty(31 << 20, dtype=np.uint8)
         calls = [0]  # cost-and-gradient evaluations in this stage
 
         def cost(x, geometry=geometry, vol_f=vol_f, vol_m=vol_m, shape=shape, calls=calls):

@@ -30,6 +30,7 @@ from .regularizers_analytic import PenaltyResult
 from .volume_io import Volume
 
 _ORDERS = (1, 2, 1, 3, 0)  # derivative order that S1..S5 square
+_WALK_POINTS = 2 * core._SLAB_POINTS  # slab of the walks below (fewer temporaries per point)
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndar
     inner = _interior(samples.shape, margin)
     buf = squares[:math.prod(inner)].reshape(inner)
     halo = (delta[0] + 1) // 2
-    for part in core._slabs(inner):
+    for part in core._slabs(inner, _WALK_POINTS):
         rows = min(part.stop, inner[0]) - part.start
         lo = part.start + margin - halo
         d = _derivative(samples[lo:lo + rows + 2 * halo], 0, delta[0], steps[0])[halo:halo + rows]
@@ -268,7 +269,7 @@ def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyResult:
     ws = [[core.axis_weight_matrix(geometry, d, axes[d], o) for o in range(4)] for d in range(3)]
     uses = _uses(range(5))
     terms = np.zeros(5)
-    for part in core._slabs(tuple(len(a) for a in axes)):
+    for part in core._slabs(tuple(len(a) for a in axes), _WALK_POINTS):
         out = np.zeros(5)
         diag = []
         for c in range(3):

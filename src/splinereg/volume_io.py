@@ -321,12 +321,12 @@ def _hull_faded_sample(volume: Volume, planes: np.ndarray) -> tuple:
     return values, grads, w1, dw
 
 
-def _warped_planes(grid: core.ControlPointGrid, axes, ws) -> np.ndarray:
-    """(3, S1, S2, S3) planes of x + v(x) on the separable grid `axes`, given
-    the grid's per-axis 0th-order weight matrices `ws` at those coordinates."""
-    planes = core._sample_planes(grid, ws)
-    for d in range(3):
-        planes[d] += axes[d].reshape([-1 if e == d else 1 for e in range(3)])
+def _warped_planes(grid: core.ControlPointGrid, axes, ws, part=slice(None)) -> np.ndarray:
+    """(3, rows, S2, S3) planes of x + v(x) on first-axis rows `part` of the
+    separable grid `axes`, given the grid's 0th-order weight matrices `ws` there."""
+    planes = core._sample_planes(grid, (ws[0][part], ws[1], ws[2]))
+    for d, a in enumerate((axes[0][part], axes[1], axes[2])):
+        planes[d] += a.reshape([-1 if e == d else 1 for e in range(3)])
     return planes
 
 
@@ -338,11 +338,13 @@ def warped_voxel_centers(grid: core.ControlPointGrid, like: Volume) -> np.ndarra
 
 
 def warp_volume(moving: Volume, grid: core.ControlPointGrid, like: Volume) -> Volume:
-    """Resample `moving` through the transform x -> x + v(x) onto `like`'s voxels."""
-    points = warped_voxel_centers(grid, like)
+    """Resample `moving` through x -> x + v(x) onto `like`'s voxels, block by block."""
+    axes = [like.axis_coords(d) for d in range(3)]
+    ws = [core.axis_weight_matrix(grid.geometry, d, axes[d], 0) for d in range(3)]
     values = np.empty(like.dims)
     for part in core._slabs(like.dims):
-        values[part], _ = trilinear_sample(moving, points[part])
+        points = np.moveaxis(_warped_planes(grid, axes, ws, part), 0, -1)
+        values[part], _ = trilinear_sample(moving, points)
     return Volume(data=values, spacing=like.spacing, origin=like.origin)
 
 

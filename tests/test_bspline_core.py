@@ -416,6 +416,30 @@ def test_sample_partial_matches_pointwise():
                     assert sampled[i, j, k] == pytest.approx(expected, abs=1e-11, rel=1e-11)
 
 
+@pytest.mark.parametrize("shape", [(5, 190, 190), (64, 64, 64), (37, 38, 35)])
+def test_contraction_blocks_match_whole_call(shape):
+    """A separable contraction and its scatter block their rows by `_slabs`:
+    contracting a block's weight rows gives that block's rows of the whole
+    call, and summing the blocks' scatters in order from zeros gives the
+    whole scatter, bitwise. Shapes: a row over the block budget, several
+    equal blocks, and a short last block."""
+    geom = core.GridGeometry((4, 5, 6), (9.0, 10.0, 11.0), (-2.0, 3.0, 1.5))
+    rng = np.random.default_rng(19)
+    lattice = rng.normal(size=geom.lattice_shape)
+    values = rng.normal(size=shape)
+    axes = [np.linspace(o, o + e, s) for o, e, s in zip(geom.origin, geom.extent, shape)]
+    ws = [core.axis_weight_matrix(geom, d, axes[d], 0) for d in range(3)]
+    parts = core._slabs(shape)
+    assert len(parts) > 1
+    whole = core._contract(lattice, *ws)
+    summed = np.zeros(geom.lattice_shape)
+    for part in parts:
+        block = core._contract(lattice, ws[0][part], ws[1], ws[2])
+        assert block.tobytes() == whole[part].tobytes()
+        summed += core.scatter_separable(values[part], ws[0][part], ws[1], ws[2])
+    assert summed.tobytes() == core.scatter_separable(values, *ws).tobytes()
+
+
 def test_scatter_is_adjoint_of_sampling():
     grid = random_grid((2, 3, 2), (9.0, 10.0, 11.0), seed=17)
     geom = grid.geometry

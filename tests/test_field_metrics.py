@@ -85,8 +85,8 @@ def test_jacobian_slabs_match_whole_grid_reference(tiles, samples):
 
 
 def test_jacobian_map_memory_stays_bounded():
-    """At 32^3 tiles x 4^3 samples one call holds the output volume, the six
-    first-axis contractions and one slab's partials, not a (S, 3, 3) array."""
+    """At 32^3 tiles x 4^3 samples one call holds the output volume and one
+    row block's partials, not a (S, 3, 3) array."""
     geom = core.GridGeometry((32, 32, 32), (8.0, 8.0, 8.0))
     grid = make_smooth_grid(geom, amplitude=2.0, smoothness=20.0, seed=3)
     spec = SamplingSpec.per_tile((4, 4, 4))

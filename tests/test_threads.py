@@ -108,6 +108,56 @@ def test_single_threaded_blas_holds_under_concurrent_blocks(blas_threads):
         sys.setswitchinterval(interval)
 
 
+def test_single_threaded_blas_pins_once_through_threadpoolctl(monkeypatch):
+    """With threadpoolctl in place (a stub here, recording its calls), nested
+    blocks and blocks open at once on two threads limit the pools once and
+    restore them once, and no block runs unpinned."""
+    calls, pinned = [], []
+
+    class Limits:  # threadpoolctl.threadpool_limits as `_pin_blas` uses it
+        def __init__(self, limits):
+            calls.append(("limits", limits))
+            pinned.append(True)
+
+        def restore_original_limits(self):
+            calls.append("restore")
+            pinned.pop()
+
+    monkeypatch.setattr(_threads, "threadpool_limits", Limits)
+    monkeypatch.setattr(_threads, "_openblas_thread_controls", lambda: None)
+    with single_threaded_blas():
+        with single_threaded_blas():
+            assert pinned == [True]
+    assert calls == [("limits", 1), "restore"] and not pinned
+
+    calls.clear()
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def first():
+        with single_threaded_blas():
+            a_in.set()
+            b_in.wait(10)
+            seen.append(list(pinned))
+        a_out.set()
+
+    def second():
+        a_in.wait(10)
+        with single_threaded_blas():
+            b_in.set()
+            a_out.wait(10)
+            seen.append(list(pinned))
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [[True], [True]]
+    assert calls == [("limits", 1), "restore"] and not pinned
+
+
 def test_single_threaded_blas_warns_once_when_it_cannot_pin(monkeypatch, capsys):
     monkeypatch.setattr(_threads, "threadpool_limits", None)
     monkeypatch.setattr(_threads, "_openblas_thread_controls", lambda: None)

@@ -122,6 +122,9 @@ show("quadrature_penalty", *[sr.quadrature_penalty(g, weights[0], s).terms
 off_origin = sr.make_smooth_grid(core.GridGeometry((5, 1, 3), (9.0, 7.0, 11.0), (-6.0, 2.5, 4.0)), 2.0, 15.0, 9)
 show("quadrature_penalty_off_origin", *[sr.quadrature_penalty(off_origin, weights[0], s).terms  # 4 slabs, then 1
                                         for s in ((12, 20, 30), (3, 2, 5))])
+jacobians = [(sr.make_smooth_grid(core.GridGeometry(t, (8.0,) * 3), 2.0, 20.0, seed=4), sr.SamplingSpec.per_tile(s))
+             for t, s in (((13, 12, 11), (4, 4, 4)), ((5, 38, 38), (1, 5, 5)))]  # short last slab; a row over budget
+show("jacobian_map", *[x for g, s in jacobians for vol, min_j in [sr.jacobian_map(g, s)] for x in (vol.data, min_j)])
 stages = (sr.RegistrationStage((16.0,) * 3, 6, 1), sr.RegistrationStage((8.0,) * 3, 6, 1))
 final, histories = sr.optimize(*image_pair((32, 32, 32)), sr.RegistrationConfig(stages, weights[1]))
 show("optimize", final.coefficients, *[x for h in histories for x in
