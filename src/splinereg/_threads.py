@@ -17,8 +17,6 @@ try:
 except ImportError:  # threadpoolctl is optional: the ctypes OpenBLAS control below stands in
     threadpool_limits = None
 
-THREADS_ENV_VAR = "SPLINEREG_THREADS"
-
 # (get, set) thread-count symbols of the OpenBLAS in numpy's wheels: numpy 2
 # ships scipy-openblas, numpy 1.x its own 64-bit-integer build.
 _OPENBLAS_SYMBOLS = (
@@ -144,26 +142,3 @@ def physical_core_count() -> int:
     except OSError:
         pass
     return os.cpu_count() or 1
-
-
-@functools.lru_cache(maxsize=None)
-def _warn_bad_thread_env(value: str):
-    print(f"splinereg: warning: {THREADS_ENV_VAR}={value!r} is not a positive integer; "
-          "using 1 thread", file=sys.stderr)
-
-
-def resolve_thread_count(flag_value: int | None) -> int:
-    """Thread count from CLI flag, else environment, else 1. The flag wins (the
-    parser admits only positive integers); an environment value that is not a
-    positive integer is reported once on stderr."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            if int(env) >= 1:
-                return int(env)
-        except ValueError:
-            pass
-        _warn_bad_thread_env(env)
-    return 1

@@ -23,7 +23,7 @@ from . import regularizers_analytic as analytic
 from . import regularizers_numeric as numeric
 from . import registration as reg
 from . import volume_io as vio
-from ._threads import blas_environment, physical_core_count, resolve_thread_count, single_threaded_blas
+from ._threads import blas_environment, physical_core_count
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -108,16 +108,11 @@ def _add_seed_flag(p: argparse.ArgumentParser):
 def cmd_penalty(args) -> int:
     grid = vio.read_grid(args.grid)
     weights = _weights_from_args(args)
-    threads = resolve_thread_count(args.threads)
-
-    if args.dump_vbank:
-        bank = analytic.build_vbank(grid.geometry.tile_spacing)
-        analytic.write_vbank(bank, args.dump_vbank)
-        _note(f"wrote V bank ({len(bank)} operators) to {args.dump_vbank}")
 
     t0 = time.perf_counter()
     if args.method == "analytic":
-        res = analytic.penalty_parallel(grid, weights, thread_count=threads, with_gradient=bool(args.dump_gradient))
+        res = analytic.penalty_parallel(grid, weights, thread_count=args.threads,
+                                        with_gradient=bool(args.dump_gradient))
         terms, value = res.terms, res.value
         if args.dump_gradient:
             gradient_grid = core.ControlPointGrid(grid.geometry, res.gradient)
@@ -153,10 +148,9 @@ def cmd_compare(args) -> int:
 
     rows = []
     for n, name in enumerate(analytic.REGULARIZER_NAMES):
-        with single_threaded_blas():
-            t0 = time.perf_counter()
-            bd = numeric.fd_penalty(grid, weights, spec, terms=[n])
-            numeric_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        bd = numeric.fd_penalty(grid, weights, spec, terms=[n])
+        numeric_seconds = time.perf_counter() - t0
         a, f = float(res.terms[n]), float(bd.terms[n])
         denom = max(abs(a), 1e-300)
         rows.append(
@@ -221,9 +215,8 @@ def cmd_bench(args) -> int:
 
     if not args.skip_numeric:
         for n, name in enumerate(analytic.REGULARIZER_NAMES):
-            with single_threaded_blas():
-                t = _timed(lambda n=n: numeric.fd_penalty(grid, weights, spec, terms=[n]),
-                           max(3, args.repeats // 4))
+            t = _timed(lambda n=n: numeric.fd_penalty(grid, weights, spec, terms=[n]),
+                       max(3, args.repeats // 4))
             speedup = t["seconds_min"] / analytic_time["seconds_min"]
             rows.append({"command": "bench", "kind": "numeric", "regularizer": name, **t,
                          "speedup": speedup, **config})
@@ -460,10 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-per-tile", type=_int_at_least(2), default=16,
                    help="for --method quadrature")
     p.add_argument("--boundary", choices=("skip-boundary", "clamp"), default="skip-boundary")
-    p.add_argument("--dump-vbank", metavar="PATH", help="also export the V bank (VBANK1)")
     p.add_argument("--dump-gradient", metavar="PATH", help="write the penalty gradient (BSPG1)")
-    p.add_argument("--threads", type=_int_at_least(1), default=None,
-                   help="worker threads (flag beats env)")
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker threads")
     _add_weight_flags(p)
     _add_json_flag(p)
     p.set_defaults(func=cmd_penalty)

@@ -15,6 +15,8 @@ of reading the analytic tables, so the analytic multiplicities are checked
 rather than shared. `fd_penalty` takes every derivative but S3's three
 diagonal first derivatives in cache-sized slabs (`_square_sum`), by the
 flat-offset stencil of `_derivative`, and sums no entry of its garbage margin.
+Each call pins BLAS to one thread while it samples and sums, as `penalty`
+does, so the three routes are timed at one BLAS setting whoever calls them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bspline_core as core
+from ._threads import single_threaded_blas
 from .regularizers_analytic import PenaltyResult
 from .volume_io import Volume
 
@@ -231,21 +234,22 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
     uses = _uses(wanted)
     out = np.zeros(5)
     diag = []
-    for c in range(3):
-        samples = core.sample_partial(grid, axes, c + 1, (0, 0, 0))
-        if clamp:
-            samples = np.pad(samples, 2, mode="edge")
-        # lexicographic, the order the terms have always accumulated in: it
-        # fixes their last bits
-        for delta in sorted(uses):
-            s = _square_sum(samples, delta, steps, margin[sum(delta)], squares)
-            for n, mult in uses[delta].items():
-                out[n] += mult * s
+    with single_threaded_blas():
+        for c in range(3):
+            samples = core.sample_partial(grid, axes, c + 1, (0, 0, 0))
+            if clamp:
+                samples = np.pad(samples, 2, mode="edge")
+            # lexicographic, the order the terms have always accumulated in: it
+            # fixes their last bits
+            for delta in sorted(uses):
+                s = _square_sum(samples, delta, steps, margin[sum(delta)], squares)
+                for n, mult in uses[delta].items():
+                    out[n] += mult * s
+            if 2 in wanted:
+                diag.append(_derivative(samples, c, 1, steps[c]))
+            del samples  # freed before the next component is sampled
         if 2 in wanted:
-            diag.append(_derivative(samples, c, 1, steps[c]))
-        del samples  # freed before the next component is sampled
-    if 2 in wanted:
-        _add_cross(out, diag, (slice(margin[1], -margin[1]),) * 3)
+            _add_cross(out, diag, (slice(margin[1], -margin[1]),) * 3)
     out *= float(np.prod(steps))
     return PenaltyResult(value=float(weights.as_array() @ out), terms=out, gradient=None)
 
@@ -269,19 +273,20 @@ def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyResult:
     ws = [[core.axis_weight_matrix(geometry, d, axes[d], o) for o in range(4)] for d in range(3)]
     uses = _uses(range(5))
     terms = np.zeros(5)
-    for part in core._slabs(tuple(len(a) for a in axes), _WALK_POINTS):
-        out = np.zeros(5)
-        diag = []
-        for c in range(3):
-            for delta, counts in uses.items():
-                w1, w2, w3 = (ws[d][delta[d]] for d in range(3))
-                d = core._contract(grid.coefficients[c], w1[part], w2, w3)
-                s = np.sum(d ** 2)
-                for n, mult in counts.items():
-                    out[n] += mult * s
-                if delta[c] == sum(delta) == 1:  # d nu_c / d x_c
-                    diag.append(d)
-        _add_cross(out, diag, ...)
-        terms += out
+    with single_threaded_blas():
+        for part in core._slabs(tuple(len(a) for a in axes), _WALK_POINTS):
+            out = np.zeros(5)
+            diag = []
+            for c in range(3):
+                for delta, counts in uses.items():
+                    w1, w2, w3 = (ws[d][delta[d]] for d in range(3))
+                    d = core._contract(grid.coefficients[c], w1[part], w2, w3)
+                    s = np.sum(d ** 2)
+                    for n, mult in counts.items():
+                        out[n] += mult * s
+                    if delta[c] == sum(delta) == 1:  # d nu_c / d x_c
+                        diag.append(d)
+            _add_cross(out, diag, ...)
+            terms += out
     terms *= float(np.prod(geometry.tile_spacing)) / float(np.prod(spt))
     return PenaltyResult(value=float(weights.as_array() @ terms), terms=terms, gradient=None)

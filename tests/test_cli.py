@@ -67,26 +67,20 @@ def test_penalty_malformed_file(tmp_path, capsys):
     assert "error" in err
 
 
-def test_penalty_dump_vbank_and_gradient(grid_file, tmp_path, capsys, monkeypatch):
+def test_penalty_dumps_gradient_and_builds_no_bank(grid_file, tmp_path, capsys, monkeypatch):
     from splinereg import regularizers_analytic
 
     built = []
     build = regularizers_analytic.build_vbank
     monkeypatch.setattr(regularizers_analytic, "build_vbank", lambda s: built.append(s) or build(s))
-    vb = tmp_path / "ops.vbank"
     gr = tmp_path / "grad.bspg"
     code, _, _ = run_cli(
-        capsys, "penalty", "--grid", grid_file, "--json", "--curvature", "1.0",
-        "--dump-vbank", str(vb), "--dump-gradient", str(gr),
+        capsys, "penalty", "--grid", grid_file, "--json", "--curvature", "1.0", "--dump-gradient", str(gr),
     )
     assert code == 0
-    from splinereg.regularizers_analytic import read_vbank
-
-    bank = read_vbank(vb)
-    assert len(bank) == 23
     gradient = vio.read_grid(gr)
     assert np.any(gradient.coefficients != 0.0)
-    assert len(built) == 1  # a bank is built only to be dumped
+    assert built == []  # the penalty kernel needs no bank; `vbank` exports one
 
 
 def test_compare_reports_all_regularizers(grid_file, capsys):
@@ -340,28 +334,6 @@ def test_register_checks_output_directory_before_optimizing(tmp_path, capsys, mo
     )
     assert code == 3, err
     assert f"error: output directory of --out-prefix does not exist: {missing}" in err
-
-
-def test_thread_count_resolution(monkeypatch, capsys):
-    from splinereg import _threads
-    from splinereg._threads import THREADS_ENV_VAR, resolve_thread_count
-
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    assert resolve_thread_count(None) == 1
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    assert resolve_thread_count(None) == 3
-    assert resolve_thread_count(2) == 2  # the flag wins
-    assert capsys.readouterr().err == ""
-    _threads._warn_bad_thread_env.cache_clear()
-    try:
-        for bad in ("junk", "0", "-2"):
-            monkeypatch.setenv(THREADS_ENV_VAR, bad)
-            assert resolve_thread_count(None) == 1
-            assert resolve_thread_count(None) == 1
-            err = capsys.readouterr().err
-            assert err.count(f"{THREADS_ENV_VAR}={bad!r}") == 1, err  # said once
-    finally:
-        _threads._warn_bad_thread_env.cache_clear()
 
 
 def test_register_nan_volume_is_a_data_error(tmp_path, capsys):

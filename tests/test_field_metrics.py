@@ -71,7 +71,7 @@ def _jacobian_reference(grid, spec):
 @pytest.mark.parametrize("tiles, samples", [((13, 12, 11), 4), ((1, 3, 2), 1)])
 def test_jacobian_slabs_match_whole_grid_reference(tiles, samples):
     """Slab boundaries change nothing: 52 first-axis samples are no multiple
-    of the 15-row slab, and a grid of 1 x 3 x 2 samples is one partial slab."""
+    of the 7-row slab, and a grid of 1 x 3 x 2 samples is one partial slab."""
     spec = SamplingSpec.per_tile((samples,) * 3)
     shape = tuple(t * samples for t in tiles)
     rows = core._SLAB_POINTS // (shape[1] * shape[2])

@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import splinereg as sr
 from splinereg import _threads
+from splinereg import bspline_core as core
+from splinereg import regularizers_analytic as analytic
 from splinereg._threads import single_threaded_blas
 
 
@@ -49,6 +52,39 @@ def test_single_threaded_blas_pins_and_restores(blas_threads):
             assert get() == 1
         assert get() == 1
     assert get() == 2
+
+
+def test_every_penalty_pins_whoever_calls_it(blas_threads, monkeypatch):
+    """Called with no block of the caller's around them, the sampled penalties
+    run every contraction, and `penalty` every component share, at one BLAS
+    thread, and each leaves the count as it found it."""
+    get = blas_threads
+    seen = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    spy(core, "_contract")
+    spy(analytic, "_component_share")
+    grid = sr.make_smooth_grid(core.GridGeometry((4, 3, 5), (8.0,) * 3), 2.0, 15.0, seed=7)
+    weights = sr.RegularizerWeights(1, 1, 1, 1, 1)
+    calls = {"quadrature_penalty": lambda: sr.quadrature_penalty(grid, weights, (4, 4, 4)),
+             "penalty": lambda: sr.penalty(grid, weights)}
+    for policy in ("skip-boundary", "clamp"):
+        spec = sr.SamplingSpec.voxel_grid((2.0,) * 3, policy)
+        calls[f"fd_penalty {policy}"] = lambda spec=spec: sr.fd_penalty(grid, weights, spec)
+        calls[f"fd_penalty {policy} S3"] = lambda spec=spec: sr.fd_penalty(grid, weights, spec, terms=[2])
+    for name, call in calls.items():
+        seen.clear()
+        call()
+        assert seen and set(seen) == {1}, (name, seen)
+        assert get() == 2, name
 
 
 def test_single_threaded_blas_nests_across_threads(blas_threads):

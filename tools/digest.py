@@ -1,6 +1,9 @@
 """Print one `name sha256` line per output group of the numeric paths. Two trees
 print the same lines exactly when these outputs are bitwise equal (at equal
-BLAS settings). Run as: PYTHONPATH=<tree>/src python tools/digest.py"""
+BLAS settings). The first line, `blas_threads N`, gives the OpenBLAS thread
+count the run saw outside the penalties' pin: compare the named lines only
+between runs whose first lines agree. Run as:
+PYTHONPATH=<tree>/src python tools/digest.py"""
 
 import hashlib
 import tempfile
@@ -10,6 +13,7 @@ import numpy as np
 
 import splinereg as sr
 from splinereg import bspline_core as core
+from splinereg._threads import blas_environment
 from splinereg.volume_io import warped_voxel_centers
 
 GRIDS = [  # tiles, tile spacing (mm) and, off the origin, origin (mm)
@@ -34,6 +38,7 @@ def image_pair(dims):
     return sr.warp_volume(moving, truth, moving), moving
 
 
+print("blas_threads", blas_environment()["blas_threads"], flush=True)
 rng = np.random.default_rng(0)
 grids = [core.ControlPointGrid(geo, rng.normal(size=(3,) + geo.lattice_shape))
          for geo in (core.GridGeometry(*g) for g in GRIDS)]
