@@ -121,24 +121,22 @@ def blas_environment() -> dict:
 
 
 def physical_core_count() -> int:
-    """Number of physical cores, ignoring SMT siblings. Falls back to cpu_count."""
+    """Number of physical cores this process may run on, ignoring SMT
+    siblings: the distinct cores of the CPUs in its affinity mask. Falls back
+    to the mask's size, and to cpu_count where there is no mask."""
     try:
-        cores = set()
-        base = "/sys/devices/system/cpu"
-        for name in os.listdir(base):
-            if not name.startswith("cpu") or not name[3:].isdigit():
-                continue
-            topo = os.path.join(base, name, "topology")
-            try:
-                with open(os.path.join(topo, "core_id")) as fh:
-                    core = fh.read().strip()
-                with open(os.path.join(topo, "physical_package_id")) as fh:
-                    pkg = fh.read().strip()
-            except OSError:
-                continue
-            cores.add((pkg, core))
-        if cores:
-            return len(cores)
-    except OSError:
-        pass
-    return os.cpu_count() or 1
+        cpus = os.sched_getaffinity(0)
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+    cores = set()
+    for cpu in cpus:
+        topo = f"/sys/devices/system/cpu/cpu{cpu}/topology"
+        try:
+            with open(os.path.join(topo, "core_id")) as fh:
+                core = fh.read().strip()
+            with open(os.path.join(topo, "physical_package_id")) as fh:
+                pkg = fh.read().strip()
+        except OSError:
+            continue
+        cores.add((pkg, core))
+    return len(cores) or len(cpus)

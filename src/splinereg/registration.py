@@ -8,9 +8,12 @@ interpolant. The hull fade w(p) falls from 1 to 0 across the moving image's
 outermost voxel cell, so a sample leaving the image changes C continuously
 and the line search need not backtrack around it. Stages run coarse to fine;
 each stage fits its grid to the previous stage's field by separable least
-squares before optimizing. M and its gradient come from one kernel that
-evaluates each sample's cell polynomial (eight coefficients per voxel cell,
-differenced from the cell's corners).
+squares before optimizing; stage sizes that would leave that fit singular
+are rejected before the first stage runs. M and its gradient come from one
+kernel that evaluates each sample's cell polynomial by its rules: the
+coefficients are the cell's corner values forward-differenced along each
+axis, the value is Horner's rule along axis 3, then 2, then 1, and the
+derivative along an axis is the polynomial of the coefficients with a 1 there.
 """
 
 from __future__ import annotations
@@ -100,11 +103,14 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) ->
     roundoff. Samples on or beyond the hull's faces, or off the planes of a
     thin axis, contribute nothing to value or gradient.
 
-    M and grad M come from one kernel, `volume_io._cell_sample`, which takes
-    them from each sample's cell polynomial, differenced from the cell's
-    eight corners, by shared factors. Each `core._slabs` row block is warped,
-    sampled, faded and scattered in turn, with the bits of whole-volume steps;
-    only the cost is whole, so that its sum keeps its bits. The block budget
+    M and grad M come from one kernel, `volume_io._cell_sample`: each
+    sample's cell polynomial, its coefficients forward-differenced from the
+    cell's eight corners, evaluated by Horner's rule one axis at a time, the
+    derivative along an axis the polynomial of the coefficients with a 1
+    there; w and grad w follow by the product rule. Each `core._slabs` row
+    block is warped, sampled, faded and scattered in turn, with the bits of
+    whole-volume steps; only the cost is whole, so that its sum keeps its
+    bits. The block budget
     suits these temporaries: on 2 x86-64 vCPUs an evaluation was faster with it
     than with twice it in 39 of 40 alternating rounds at 48^3 voxels (min 14.6
     against 17.0 ms) and 18 of 24 at 64^3 (34.5 against 35.4 ms, `BENCH_one_route.json`).
@@ -144,10 +150,14 @@ def fit_grid_to_field(
     """Least-squares coefficients reproducing a displacement field sampled on a
     separable grid. The design matrix is a Kronecker product, so the normal
     equations split per axis; fields exactly representable on the lattice are
-    recovered exactly."""
+    recovered exactly. An axis whose weight matrix has fewer rows than columns,
+    or is rank-deficient, raises ValueError: its normal equations are singular."""
     ws = [core.axis_weight_matrix(geometry, d, axes[d], 0) for d in range(3)]
     solvers = []
-    for w in ws:
+    for axis, w in enumerate(ws, 1):
+        rank = np.linalg.matrix_rank(w)  # at most the sample count
+        if rank < w.shape[1]:
+            raise ValueError(f"axis {axis}: {w.shape[0]} samples determine only {rank} of {w.shape[1]} control points")
         gram = w.T @ w
         solvers.append(np.linalg.solve(gram, w.T))  # (P, S)
     coeffs = np.empty((3,) + geometry.lattice_shape)
@@ -236,15 +246,36 @@ def _lbfgs(fun, x0: np.ndarray, max_iterations: int, settings: OptimizerSettings
     return x, costs, reason
 
 
+def _check_stage_sizes(fixed: Volume, stages) -> None:
+    """Raise ValueError, naming the stage, the axis and both counts, when a
+    stage's image_downsample leaves an axis without a voxel, or when a later
+    stage's image has fewer voxels on an axis than its lattice has control
+    points: the fit that starts that stage from the previous field would be
+    singular. Voxels are counted as box_downsample would leave them."""
+    for number, stage in enumerate(stages, 1):
+        lattice = covering_geometry(fixed, stage.grid_spacing).lattice_shape
+        for axis, (n, points) in enumerate(zip(fixed.dims, lattice), 1):
+            voxels = n // stage.image_downsample
+            if voxels < 1:
+                raise ValueError(f"stage {number}: image_downsample {stage.image_downsample} leaves no voxel "
+                                 f"of the {n} on axis {axis}")
+            if number > 1 and voxels < points:
+                raise ValueError(f"stage {number}: its image has {voxels} voxels on axis {axis}, fewer than "
+                                 f"the {points} control points of its lattice")
+
+
 def optimize(fixed: Volume, moving: Volume, config: RegistrationConfig) -> tuple:
     """Multi-stage registration of `moving` onto `fixed`.
 
     Returns the final ControlPointGrid (on the last stage's geometry) and a
     list of StageHistory records. Costs within a stage are monotone
-    non-increasing; a non-finite cost aborts with a diagnostic.
+    non-increasing; a non-finite cost aborts with a diagnostic. Stage sizes
+    that leave a stage undetermined (`_check_stage_sizes`) raise ValueError
+    before the first stage runs.
     """
     if not fixed.same_geometry(moving):
         raise ValueError("fixed and moving volumes must share dims, spacing and origin")
+    _check_stage_sizes(fixed, config.stages)
 
     grid = None
     histories = []

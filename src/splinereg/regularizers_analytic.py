@@ -45,6 +45,7 @@ import numpy as np
 
 from . import bspline_core as core
 from ._threads import single_threaded_blas
+from .volume_io import FormatError, _header_fields, _read_header_line  # the header plumbing of every format
 
 FIRST_DERIVS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 SECOND_DERIVS = (
@@ -442,8 +443,6 @@ def write_vbank(bank: VMatrixBank, path):
 
 
 def read_vbank(path) -> VMatrixBank:
-    from .volume_io import FormatError, _header_fields, _read_header_line  # shared header plumbing
-
     with open(path, "rb") as fh:
         magic = _read_header_line(fh)
         if magic != "VBANK1":

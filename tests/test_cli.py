@@ -351,6 +351,23 @@ def test_register_nan_volume_is_a_data_error(tmp_path, capsys):
     assert "not finite" in err
 
 
+def test_register_undetermined_stage_is_a_data_error(tmp_path, capsys, monkeypatch):
+    """A later stage whose image has fewer voxels on an axis than its lattice
+    has control points is rejected as a data error before any stage runs."""
+    from splinereg import registration as reg
+
+    monkeypatch.setattr(reg, "mse_cost_grad", lambda *args: pytest.fail("a stage ran"))
+    image = vio.make_phantom("blobs", (40, 1, 40), (2.0, 2.0, 2.0), seed=5)
+    vio.write_volume(image, tmp_path / "f.vol")
+    vio.write_volume(image, tmp_path / "m.vol")
+    code, _, err = run_cli(
+        capsys, "register", "--fixed", str(tmp_path / "f.vol"), "--moving", str(tmp_path / "m.vol"),
+        "--stage", "16:2:1", "--stage", "8:2:1", "--out-prefix", str(tmp_path / "out"),
+    )
+    assert code == 3, err
+    assert "stage 2: its image has 1 voxels on axis 2" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("register", "--fixed", "f.vol", "--moving", "m.vol", "--threads", "2"),  # no such flag there
     ("penalty", "--grid", "g.bspg", "--threads", "0"),

@@ -228,6 +228,35 @@ def test_fit_grid_recovers_representable_fields():
     )
 
 
+@pytest.mark.parametrize("axes, message", [
+    ([np.linspace(0.0, 32.0, 6), np.linspace(0.0, 32.0, 24), np.linspace(0.0, 32.0, 24)],
+     "axis 1: 6 samples determine only 6 of 7 control points"),
+    ([np.linspace(0.0, 32.0, 24), np.linspace(0.0, 32.0, 24), np.linspace(0.0, 6.0, 24)],
+     "axis 3: 24 samples determine only 4 of 7 control points"),  # the far tiles hold no sample
+], ids=["fewer-samples", "rank-deficient"])
+def test_fit_grid_rejects_an_undetermined_axis(axes, message):
+    geometry = core.GridGeometry((4, 4, 4), (8.0, 8.0, 8.0))
+    samples = np.zeros(tuple(len(a) for a in axes) + (3,))
+    with pytest.raises(ValueError, match=message):
+        reg.fit_grid_to_field(geometry, axes, samples)
+
+
+@pytest.mark.parametrize("dims, stages, message", [
+    ((32, 32, 32), ((16.0, 4), (8.0, 4)), "stage 2: its image has 8 voxels on axis 1, fewer than the 11 control points"),
+    ((40, 1, 40), ((16.0, 1), (8.0, 1)), "stage 2: its image has 1 voxels on axis 2, fewer than the 4 control points"),
+    ((20, 20, 6), ((16.0, 8),), "stage 1: image_downsample 8 leaves no voxel of the 6 on axis 3"),
+], ids=["downsampled-below-lattice", "thin-axis", "no-voxel"])
+def test_optimize_rejects_undetermined_stages_before_any_evaluation(monkeypatch, dims, stages, message):
+    evaluated = []
+    monkeypatch.setattr(reg, "mse_cost_grad", lambda *args: evaluated.append(args) or (0.0, None))
+    vol = blob_volume(dims=dims, seed=13)
+    config = reg.RegistrationConfig(
+        stages=tuple(reg.RegistrationStage((s,) * 3, max_iterations=2, image_downsample=f) for s, f in stages))
+    with pytest.raises(ValueError, match=message):
+        reg.optimize(vol, vol, config)
+    assert evaluated == []
+
+
 def test_lbfgs_minimizes_quadratic():
     rng = np.random.default_rng(9)
     n = 40

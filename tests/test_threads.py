@@ -218,3 +218,8 @@ def test_blas_environment_says_when_it_cannot_pin(monkeypatch, capsys):
         assert "cannot limit BLAS threads" in capsys.readouterr().err
     finally:
         _threads._warn_unpinned.cache_clear()
+
+
+def test_physical_core_count_counts_only_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _threads.physical_core_count() == 1

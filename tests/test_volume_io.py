@@ -63,6 +63,37 @@ def test_volume_errors(tmp_path):
         vio.read_volume(bad_dtype)
 
 
+def _format_files(tmp_path):
+    """Format name to (path, reader) of one valid VOL1, BSPG1 and VBANK1 file."""
+    from splinereg import regularizers_analytic as ra
+
+    vol, grid, bank = tmp_path / "v.vol", tmp_path / "g.bspg", tmp_path / "b.vbank"
+    vio.write_volume(vio.Volume(data=np.zeros((2, 3, 2)), spacing=(1, 1, 1)), vol)
+    vio.write_grid(core.ControlPointGrid.zeros(core.GridGeometry((2, 1, 1), (10, 10, 10))), grid)
+    ra.write_vbank(ra.build_vbank((1.0, 2.0, 3.0)), bank)
+    return {"VOL1": (vol, vio.read_volume), "BSPG1": (grid, vio.read_grid), "VBANK1": (bank, ra.read_vbank)}
+
+
+@pytest.mark.parametrize("fmt", ["VOL1", "BSPG1", "VBANK1"])
+def test_header_line_errors(tmp_path, fmt):
+    """Every format reads its header lines alike: the file ending inside one,
+    a line of more than 512 bytes and a line that is not ASCII are format
+    errors; a line of 512 bytes is read."""
+    path, read = _format_files(tmp_path)[fmt]
+    data = path.read_bytes()
+    magic, rest = data.split(b"\n", 1)
+    second = rest.split(b"\n", 1)[0]
+    bad = [(data[:len(magic) + 4], "end of file inside header"),
+           (magic + b"\n" + second + b" " * 520 + b"\n" + rest, "too long"),
+           (magic + b"\n" + second + b" \xe9\n" + rest, "not ASCII")]
+    for content, message in bad:
+        path.write_bytes(content)
+        with pytest.raises(vio.FormatError, match=message):
+            read(path)
+    path.write_bytes(magic + b"\n" + second.ljust(512) + b"\n" + rest.split(b"\n", 1)[1])
+    read(path)  # the padded line is within bounds, and its fields parse as before
+
+
 def test_volume_with_non_finite_values_is_rejected(tmp_path):
     data = np.zeros((3, 4, 5))
     data[1, 2, 3] = np.nan

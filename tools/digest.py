@@ -13,6 +13,7 @@ import numpy as np
 
 import splinereg as sr
 from splinereg import bspline_core as core
+from splinereg import volume_io as vio
 from splinereg._threads import blas_environment
 from splinereg.volume_io import warped_voxel_centers
 
@@ -79,6 +80,25 @@ for fixed, moving in map(image_pair, SHAPES):
 show("mse_cost_grad", *mse)
 show("warp_volume", *warped)
 show("warped_voxel_centers", *centers)
+cells, faded = [], []  # the kernel itself: the data term hides it on and beyond the hull's faces
+crng = np.random.default_rng(3)
+for dims, spacing, origin in (((5, 6, 7), (2.0, 1.5, 3.0), (-4.0, 1.0, 2.5)), ((1, 4, 2), (1.0, 2.5, 2.0), (0, 0, 0)),
+                              ((2, 1, 9), (3.0, 1.0, 0.5), (1.0, -2.0, 0.0))):  # thin axes of 1 and 2 voxels
+    vol = sr.Volume(crng.normal(size=dims), spacing, origin)
+    ends = [[-2.5, -0.5, 0.0, 0.5, n - 1.0, n - 0.6, n + 1.25] for n in dims]  # inside, on and beyond faces
+    index = np.concatenate([crng.uniform(0.0, np.array(dims) - 1.0, size=(200, 3)),
+                            np.array(np.meshgrid(*ends, indexing="ij")).reshape(3, -1).T])
+    points = np.array(origin) + index * np.array(spacing)
+    for p in (points, points[7], points[-3]):  # (n, 3) points, and one point inside and one beyond
+        idx = [(p[..., d] - origin[d]) / spacing[d] for d in range(3)]
+        for grad in (False, True):
+            values, grads = vio._cell_sample(vol, idx, grad)
+            cells += [values, *(grads or [None])]
+        cells += list(vio.trilinear_sample(vol, p))
+    values, grads, fade, fade_grads = vio._hull_faded_sample(vol, np.moveaxis(points, -1, 0))
+    faded += [values, *grads, fade, fade_grads]
+show("cell_sample", *cells)
+show("hull_faded_sample", *faded)
 off_knot = [[np.linspace(o + 0.31 * r, o + e - 0.53 * r, 2 * n + 3)  # no sample on a knot
              for o, e, r, n in zip(geo.origin, geo.extent, geo.tile_spacing, geo.tile_counts)]
             for geo in (g.geometry for g in grids)]
