@@ -15,7 +15,6 @@ import splinereg as sr
 from splinereg import bspline_core as core
 from splinereg import volume_io as vio
 from splinereg._threads import blas_environment
-from splinereg.volume_io import warped_voxel_centers
 
 GRIDS = [  # tiles, tile spacing (mm) and, off the origin, origin (mm)
     ((3, 4, 5), (10, 12, 8)), ((1, 1, 1), (7, 5, 9)), ((1, 3, 2), (6, 10, 4), (-3, 2, 5)), ((5, 1, 2), (9, 9, 11)),
@@ -76,7 +75,7 @@ for fixed, moving in map(image_pair, SHAPES):
     for g in (core.ControlPointGrid.zeros(geometry), sr.make_smooth_grid(geometry, 2.0, 20.0, 5)):
         mse += list(sr.mse_cost_grad(fixed, moving, g))
         warped.append(sr.warp_volume(moving, g, fixed).data)
-        centers.append(warped_voxel_centers(g, fixed))
+        centers.append(vio.warped_voxel_centers(g, fixed))
 show("mse_cost_grad", *mse)
 show("warp_volume", *warped)
 show("warped_voxel_centers", *centers)
