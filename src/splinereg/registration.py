@@ -18,6 +18,7 @@ derivative along an axis is the polynomial of the coefficients with a 1 there.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,8 +178,7 @@ def _lbfgs(fun, x0: np.ndarray, max_iterations: int, settings: OptimizerSettings
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise RuntimeError(f"non-finite cost at the initial point: f={f}")
     costs = [f]
-    s_hist: list = []
-    y_hist: list = []
+    history = deque(maxlen=HISTORY_SIZE)  # (s, y, 1 / y.s) of each kept step, oldest first
     reason = "max_iterations"
     flat_count = 0
 
@@ -189,18 +189,15 @@ def _lbfgs(fun, x0: np.ndarray, max_iterations: int, settings: OptimizerSettings
             break
 
         q = g.copy()
-        depth = len(s_hist)
-        rhos = [1.0 / float(y @ s) for s, y in zip(s_hist, y_hist)]
-        alphas = [0.0] * depth
-        for i in range(depth - 1, -1, -1):
-            alphas[i] = rhos[i] * float(s_hist[i] @ q)
-            q -= alphas[i] * y_hist[i]
-        if depth:
-            gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        for i in range(depth):
-            beta = rhos[i] * float(y_hist[i] @ q)
-            q += s_hist[i] * (alphas[i] - beta)
+        alphas = []
+        for s, y, rho in reversed(history):
+            alphas.append(rho * float(s @ q))
+            q -= alphas[-1] * y
+        if history:
+            s, y, _ = history[-1]
+            q *= float(s @ y) / float(y @ y)
+        for (s, y, rho), alpha in zip(history, reversed(alphas)):
+            q += s * (alpha - rho * float(y @ q))
         direction = -q
 
         slope = float(g @ direction)
@@ -227,11 +224,7 @@ def _lbfgs(fun, x0: np.ndarray, max_iterations: int, settings: OptimizerSettings
         y_vec = g_new - g
         sy = float(s_vec @ y_vec)
         if sy > 1e-10 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            if len(s_hist) > HISTORY_SIZE:
-                s_hist.pop(0)
-                y_hist.pop(0)
+            history.append((s_vec, y_vec, 1.0 / sy))
 
         rel_drop = (f - f_new) / max(abs(f), 1e-300)
         x, f, g = x_new, f_new, g_new

@@ -36,7 +36,7 @@ The weighted total is S = mu1 S1 + ... + mu5 S5.
 
 from __future__ import annotations
 
-import io
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import bspline_core as core
 from ._threads import single_threaded_blas
-from .volume_io import FormatError, _header_fields, _read_header_line  # the header plumbing of every format
+from .volume_io import FormatError, _numbers, _read_header, _read_payload, _write_file  # the one file codec
 
 FIRST_DERIVS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 SECOND_DERIVS = (
@@ -415,47 +415,30 @@ def _lattice_penalty(grid, weights, bank, with_gradient: bool, thread_count: int
 
 
 # ---------------------------------------------------------------------------
-# Bank export (VBANK1): text header, then raw little-endian float64 matrices
-# row-major in header order.
+# Bank export (VBANK1): the common header, `spacing`, `pairs N` and N `pair`
+# lines, then the matrices as raw little-endian float64, row-major in header order.
 # ---------------------------------------------------------------------------
-
-def _delta_code(delta) -> str:
-    return "".join(str(v) for v in delta)
-
 
 def _parse_delta(code: str) -> tuple:
     if len(code) != 3 or not code.isdigit():
-        raise ValueError(f"malformed derivative code {code!r}")
+        raise FormatError(f"malformed derivative code {code!r}")
     return tuple(int(ch) for ch in code)
 
 
 def write_vbank(bank: VMatrixBank, path):
-    header = io.StringIO()
-    header.write("VBANK1\n")
-    header.write("spacing %s %s %s\n" % tuple(repr(float(r)) for r in bank.tile_spacing))
-    header.write(f"pairs {len(bank)}\n")
-    for pair in bank.pairs:
-        header.write(f"pair {_delta_code(pair.delta_i)} {_delta_code(pair.delta_j)}\n")
-    with open(path, "wb") as fh:
-        fh.write(header.getvalue().encode("ascii"))
-        for pair in bank.pairs:
-            fh.write(np.ascontiguousarray(bank.get(pair), dtype="<f8").tobytes())
+    pairs = [("pair", ["".join(map(str, d)) for d in (p.delta_i, p.delta_j)]) for p in bank.pairs]
+    _write_file(path, "VBANK1", [("spacing", bank.tile_spacing), ("pairs", (len(bank),))] + pairs,
+                np.stack([bank.get(p) for p in bank.pairs]), "<f8")
 
 
 def read_vbank(path) -> VMatrixBank:
+    """Read a VBANK1 file; its operators are read-only views of one payload array."""
     with open(path, "rb") as fh:
-        magic = _read_header_line(fh)
-        if magic != "VBANK1":
-            raise FormatError(f"not a VBANK1 file (magic {magic!r})")
-        spacing = tuple(float(v) for v in _header_fields(_read_header_line(fh), "spacing", 3))
-        count = int(_header_fields(_read_header_line(fh), "pairs", 1)[0])
-        pairs = []
-        for _ in range(count):
-            di, dj = _header_fields(_read_header_line(fh), "pair", 2)
-            pairs.append(DerivPair(_parse_delta(di), _parse_delta(dj)))
-        payload = fh.read()
-    expected = count * 64 * 64 * 8
-    if len(payload) != expected:
-        raise FormatError(f"VBANK1 payload truncated: expected {expected} bytes, got {len(payload)}")
-    raw = np.frombuffer(payload, dtype="<f8").reshape(count, 64, 64)
-    return VMatrixBank(spacing, {p: raw[i].astype(np.float64) for i, p in enumerate(pairs)})
+        spacing, count = _read_header(fh, (("spacing", 3), ("pairs", 1)), "VBANK1")
+        (count,) = _numbers("pairs", count, int, 1)
+        codes = _read_header(fh, itertools.repeat(("pair", 2), count))
+        matrices = _read_payload(fh, "<f8", (count, 64, 64))
+    entries = {DerivPair(_parse_delta(di), _parse_delta(dj)): v for (di, dj), v in zip(codes, matrices)}
+    if len(entries) != count:
+        raise FormatError(f"VBANK1 header repeats a pair: its {count} pair lines name {len(entries)} operators")
+    return VMatrixBank(_numbers("spacing", spacing, low=core.MIN_TILE_SPACING), entries)

@@ -2,14 +2,17 @@
 
 A Volume is a scalar or 3-vector sample array with voxel spacing and origin;
 the origin is the physical position of the *center* of voxel (0, 0, 0), so
-voxel i sits at origin + i * spacing. Files use a short self-describing text
-header followed by a raw little-endian payload (float32 on disk, float64 in
-memory; writing narrows).
+voxel i sits at origin + i * spacing. VOL1 volumes, BSPG1 grids and VBANK1
+banks share one file layout, which one codec writes (`_write_file`) and reads
+(`_read_header`, `_read_payload`): a magic line, `key v1 v2 ...` lines, then a
+raw little-endian payload (float32 for volumes, which writing narrows; float64
+in memory).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +73,17 @@ class Volume:
 # File formats
 # ---------------------------------------------------------------------------
 
+def _write_file(path, magic: str, fields, payload: np.ndarray, dtype: str):
+    """Write one file of the common layout: the magic line, one `key v1 v2 ...`
+    line per (key, values) field, floats by repr, then `payload` in C order as
+    raw little-endian `dtype` values."""
+    lines = [magic] + [" ".join([key] + [repr(float(v)) if isinstance(v, float) else str(v) for v in values])
+                       for key, values in fields]
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in lines).encode("ascii"))
+        fh.write(np.ascontiguousarray(payload, dtype=dtype).tobytes())
+
+
 def _read_header_line(fh) -> str:
     raw = fh.readline(513)  # at most 512 bytes and the newline
     if not raw.endswith(b"\n"):
@@ -82,86 +96,77 @@ def _read_header_line(fh) -> str:
         raise FormatError("header is not ASCII text") from exc
 
 
-def _header_fields(line: str, key: str, count: int) -> list:
-    parts = line.split()
-    if len(parts) != count + 1 or parts[0] != key:
-        raise FormatError(f"malformed header line {line!r}, expected '{key}' with {count} values")
-    return parts[1:]
+def _read_header(fh, fields, magic: str | None = None) -> list:
+    """Check the magic line of the open file `fh`, if given, then read one
+    `key v1 .. vcount` line per (key, count) of `fields`: their values, as strings."""
+    if magic is not None and (found := _read_header_line(fh)) != magic:
+        raise FormatError(f"not a {magic} file (magic {found!r})")
+    values = []
+    for key, count in fields:
+        line = _read_header_line(fh)
+        parts = line.split()
+        if len(parts) != count + 1 or parts[0] != key:
+            raise FormatError(f"malformed header line {line!r}, expected '{key}' with {count} values")
+        values.append(parts[1:])
+    return values
 
 
-def _fmt(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def _numbers(key: str, values, kind=float, low=-np.inf) -> tuple:
+    """The values of header field `key` as `kind`, each finite and >= `low`."""
+    numbers = tuple(kind(v) for v in values)
+    if not all(np.isfinite(v) and v >= low for v in numbers):
+        bound = f" and >= {low}" if low > -np.inf else ""
+        raise FormatError(f"header field '{key} {' '.join(values)}': values must be finite{bound}")
+    return numbers
+
+
+def _read_payload(fh, dtype: str, shape) -> np.ndarray:
+    """The rest of the open file `fh` as raw little-endian `dtype` values,
+    returned as a float64 array of `shape`: its length must fit `shape`
+    exactly, and every value must be finite."""
+    payload, expected = fh.read(), math.prod(shape) * np.dtype(dtype).itemsize
+    if len(payload) != expected:
+        raise FormatError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
+    data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    if bad := int(np.count_nonzero(~np.isfinite(data))):
+        raise FormatError(f"{bad} of {data.size} values are not finite (NaN or infinite)")
+    return data.reshape(shape)
 
 
 def write_volume(volume: Volume, path):
     """Write a VOL1 file. Data narrows to float32 on disk."""
-    with open(path, "wb") as fh:
-        fh.write(b"VOL1\n")
-        fh.write(f"dims {volume.dims[0]} {volume.dims[1]} {volume.dims[2]}\n".encode())
-        fh.write(f"spacing {_fmt(volume.spacing)}\n".encode())
-        fh.write(f"origin {_fmt(volume.origin)}\n".encode())
-        fh.write(b"dtype float32\n")
-        fh.write(f"components {volume.components}\n".encode())
-        fh.write(np.ascontiguousarray(volume.data, dtype="<f4").tobytes())
+    _write_file(path, "VOL1", (("dims", volume.dims), ("spacing", volume.spacing), ("origin", volume.origin),
+                               ("dtype", ("float32",)), ("components", (volume.components,))), volume.data, "<f4")
 
 
 def read_volume(path) -> Volume:
     """Read a VOL1 file back into a float64 Volume."""
     with open(path, "rb") as fh:
-        magic = _read_header_line(fh)
-        if magic != "VOL1":
-            raise FormatError(f"not a VOL1 file (magic {magic!r})")
-        dims = tuple(int(v) for v in _header_fields(_read_header_line(fh), "dims", 3))
-        spacing = tuple(float(v) for v in _header_fields(_read_header_line(fh), "spacing", 3))
-        origin = tuple(float(v) for v in _header_fields(_read_header_line(fh), "origin", 3))
-        dtype = _header_fields(_read_header_line(fh), "dtype", 1)[0]
+        dims, spacing, origin, (dtype,), (components,) = _read_header(
+            fh, (("dims", 3), ("spacing", 3), ("origin", 3), ("dtype", 1), ("components", 1)), "VOL1")
         if dtype != "float32":
             raise FormatError(f"unsupported element type {dtype!r}")
-        components = int(_header_fields(_read_header_line(fh), "components", 1)[0])
-        if components not in (1, 3):
+        if components not in ("1", "3"):
             raise FormatError(f"component count must be 1 or 3, got {components}")
-        payload = fh.read()
-    count = dims[0] * dims[1] * dims[2] * components
-    if len(payload) != count * 4:
-        raise FormatError(f"truncated payload: expected {count * 4} bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    bad = int(np.count_nonzero(~np.isfinite(data)))
-    if bad:
-        raise FormatError(f"{bad} of {count} values are not finite (NaN or infinite)")
-    shape = dims if components == 1 else dims + (3,)
-    return Volume(data=data.reshape(shape), spacing=spacing, origin=origin)
+        dims = _numbers("dims", dims, int, 1)
+        data = _read_payload(fh, "<f4", dims if components == "1" else dims + (3,))
+    return Volume(data, _numbers("spacing", spacing, low=math.ulp(0.0)), _numbers("origin", origin))  # spacing > 0
 
 
 def write_grid(grid: core.ControlPointGrid, path):
     """Write a BSPG1 coefficient file (float64 payload, component-major)."""
     geom = grid.geometry
-    with open(path, "wb") as fh:
-        fh.write(b"BSPG1\n")
-        fh.write(f"tiles {geom.tile_counts[0]} {geom.tile_counts[1]} {geom.tile_counts[2]}\n".encode())
-        fh.write(f"spacing {_fmt(geom.tile_spacing)}\n".encode())
-        fh.write(f"origin {_fmt(geom.origin)}\n".encode())
-        fh.write(np.ascontiguousarray(grid.coefficients, dtype="<f8").tobytes())
+    fields = (("tiles", geom.tile_counts), ("spacing", geom.tile_spacing), ("origin", geom.origin))
+    _write_file(path, "BSPG1", fields, grid.coefficients, "<f8")
 
 
 def read_grid(path) -> core.ControlPointGrid:
     with open(path, "rb") as fh:
-        magic = _read_header_line(fh)
-        if magic != "BSPG1":
-            raise FormatError(f"not a BSPG1 file (magic {magic!r})")
-        tiles = tuple(int(v) for v in _header_fields(_read_header_line(fh), "tiles", 3))
-        spacing = tuple(float(v) for v in _header_fields(_read_header_line(fh), "spacing", 3))
-        origin = tuple(float(v) for v in _header_fields(_read_header_line(fh), "origin", 3))
-        payload = fh.read()
-    try:
-        geometry = core.GridGeometry(tiles, spacing, origin)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-    shape = (3,) + geometry.lattice_shape
-    expected = int(np.prod(shape)) * 8
-    if len(payload) != expected:
-        raise FormatError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
-    coeffs = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-    return core.ControlPointGrid(geometry, coeffs)
+        tiles, spacing, origin = _read_header(fh, (("tiles", 3), ("spacing", 3), ("origin", 3)), "BSPG1")
+        geometry = core.GridGeometry(_numbers("tiles", tiles, int, 1),
+                                     _numbers("spacing", spacing, low=core.MIN_TILE_SPACING),
+                                     _numbers("origin", origin))
+        return core.ControlPointGrid(geometry, _read_payload(fh, "<f8", (3,) + geometry.lattice_shape))
 
 
 # ---------------------------------------------------------------------------

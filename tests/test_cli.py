@@ -351,6 +351,20 @@ def test_register_nan_volume_is_a_data_error(tmp_path, capsys):
     assert "not finite" in err
 
 
+def test_register_non_finite_origin_is_a_data_error(tmp_path, capsys):
+    image = vio.make_phantom("blobs", (16, 16, 16), (2.0, 2.0, 2.0), seed=5)
+    fpath, mpath = tmp_path / "f.vol", tmp_path / "m.vol"
+    vio.write_volume(image, fpath)
+    vio.write_volume(image, mpath)
+    mpath.write_bytes(mpath.read_bytes().replace(b"origin 0.0 0.0 0.0\n", b"origin nan 0.0 0.0\n"))
+    code, _, err = run_cli(
+        capsys, "register", "--fixed", str(fpath), "--moving", str(mpath),
+        "--stage", "16:2:1", "--out-prefix", str(tmp_path / "out"),
+    )
+    assert code == 3, err
+    assert "error: header field 'origin nan 0.0 0.0'" in err
+
+
 def test_register_undetermined_stage_is_a_data_error(tmp_path, capsys, monkeypatch):
     """A later stage whose image has fewer voxels on an axis than its lattice
     has control points is rejected as a data error before any stage runs."""

@@ -94,6 +94,97 @@ def test_header_line_errors(tmp_path, fmt):
     read(path)  # the padded line is within bounds, and its fields parse as before
 
 
+def _read_edited(tmp_path, fmt, line, edited, match):
+    """Read the valid `fmt` file with its header line `line` replaced by `edited`;
+    the reader must raise FormatError matching `match`."""
+    path, read = _format_files(tmp_path)[fmt]
+    data = path.read_bytes()
+    assert data.count(line + b"\n") == 1
+    path.write_bytes(data.replace(line + b"\n", edited + b"\n"))
+    with pytest.raises(vio.FormatError, match=match):
+        read(path)
+
+
+def test_repeated_vbank_pair_is_rejected(tmp_path):
+    _read_edited(tmp_path, "VBANK1", b"pair 100 100", b"pair 000 000", "repeats a pair: its 23 pair lines name 22")
+
+
+@pytest.mark.parametrize("fmt, line, edited", [
+    ("VBANK1", b"spacing 1.0 2.0 3.0", b"spacing -1.0 nan 0.0"),
+    ("VBANK1", b"spacing 1.0 2.0 3.0", b"spacing 1.0 inf 3.0"),
+    ("VBANK1", b"spacing 1.0 2.0 3.0", b"spacing 1.0 2.0 1e-07"),  # below MIN_TILE_SPACING
+    ("BSPG1", b"spacing 10.0 10.0 10.0", b"spacing 10.0 nan 10.0"),
+    ("VOL1", b"spacing 1.0 1.0 1.0", b"spacing 1.0 1.0 -inf"),
+    ("VOL1", b"spacing 1.0 1.0 1.0", b"spacing 1.0 0.0 1.0"),
+])
+def test_header_spacing_out_of_range_is_rejected(tmp_path, fmt, line, edited):
+    _read_edited(tmp_path, fmt, line, edited, f"header field '{edited.decode()}'")
+
+
+@pytest.mark.parametrize("fmt, edited", [
+    ("VOL1", b"origin nan 0.0 0.0"), ("VOL1", b"origin 0.0 inf 0.0"), ("BSPG1", b"origin 0.0 0.0 -inf")])
+def test_header_origin_not_finite_is_rejected(tmp_path, fmt, edited):
+    _read_edited(tmp_path, fmt, b"origin 0.0 0.0 0.0", edited, f"header field '{edited.decode()}'")
+
+
+@pytest.mark.parametrize("fmt, line, edited", [
+    ("VOL1", b"dims 2 3 2", b"dims -2 -2 2"),
+    ("VOL1", b"dims 2 3 2", b"dims -1 2 2"),
+    ("VOL1", b"dims 2 3 2", b"dims 2 0 2"),
+    ("BSPG1", b"tiles 2 1 1", b"tiles 2 0 1"),
+    ("VBANK1", b"pairs 23", b"pairs 0"),
+    ("VBANK1", b"pairs 23", b"pairs -23"),
+])
+def test_header_count_not_positive_is_rejected(tmp_path, fmt, line, edited):
+    _read_edited(tmp_path, fmt, line, edited, f"header field '{edited.decode()}'")
+
+
+_VBANK1_PAIRS = ("000 000", "100 100", "010 010", "001 001", "010 100", "001 100", "001 010",
+                 "200 200", "020 020", "002 002", "110 110", "101 101", "011 011", "300 300", "030 030",
+                 "003 003", "210 210", "201 201", "120 120", "021 021", "102 102", "012 012", "111 111")
+
+
+def _written_files(tmp_path):
+    """File name to (header bytes, payload element type, payload values) of
+    each writer's output, the header as README's File formats section gives it."""
+    from splinereg import regularizers_analytic as ra
+
+    rng = np.random.default_rng(5)
+    scalar = vio.Volume(rng.normal(size=(2, 3, 4)), spacing=(0.92, 0.92, 2.5), origin=(1.0, -2.0, 3.5))
+    vector = vio.Volume(rng.normal(size=(3, 1, 2, 3)), spacing=(1, 2, 3))
+    geom = core.GridGeometry((2, 1, 3), (10.0, 7.5, 8.0), origin=(-12.5, 0.25, -3.75))
+    grid = core.ControlPointGrid(geom, rng.normal(size=(3,) + geom.lattice_shape))
+    bank = ra.build_vbank((1.0, 2.0, 3.0))
+    vio.write_volume(scalar, tmp_path / "scalar.vol")
+    vio.write_volume(vector, tmp_path / "vector.vol")
+    vio.write_grid(grid, tmp_path / "grid.bspg")
+    ra.write_vbank(bank, tmp_path / "bank.vbank")
+    return {
+        "scalar.vol": (b"VOL1\ndims 2 3 4\nspacing 0.92 0.92 2.5\norigin 1.0 -2.0 3.5\n"
+                       b"dtype float32\ncomponents 1\n", "<f4", scalar.data),
+        "vector.vol": (b"VOL1\ndims 3 1 2\nspacing 1.0 2.0 3.0\norigin 0.0 0.0 0.0\n"
+                       b"dtype float32\ncomponents 3\n", "<f4", vector.data),
+        "grid.bspg": (b"BSPG1\ntiles 2 1 3\nspacing 10.0 7.5 8.0\norigin -12.5 0.25 -3.75\n",
+                      "<f8", grid.coefficients),
+        "bank.vbank": (b"VBANK1\nspacing 1.0 2.0 3.0\npairs 23\n"
+                       + b"".join(b"pair %s\n" % p.encode() for p in _VBANK1_PAIRS),
+                       "<f8", np.stack([bank.get(p) for p in bank.pairs])),
+    }
+
+
+@pytest.mark.parametrize("name", ["scalar.vol", "vector.vol", "grid.bspg", "bank.vbank"])
+def test_written_bytes(tmp_path, name):
+    """Each writer puts the documented header on disk, byte for byte, then
+    the payload in C order as raw little-endian values of its element type."""
+    header, dtype, values = _written_files(tmp_path)[name]
+    data = (tmp_path / name).read_bytes()
+    assert data[:len(header)] == header
+    payload = data[len(header):]
+    assert len(payload) == values.size * np.dtype(dtype).itemsize
+    np.testing.assert_array_equal(np.frombuffer(payload, dtype=dtype),
+                                  np.ascontiguousarray(values, dtype=dtype).ravel())
+
+
 def test_volume_with_non_finite_values_is_rejected(tmp_path):
     data = np.zeros((3, 4, 5))
     data[1, 2, 3] = np.nan

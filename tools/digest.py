@@ -66,9 +66,19 @@ for tiles, spacing in (((3, 4, 5), (10, 12, 8)), ((10, 10, 10), (8, 9, 7.5)), ((
 show("penalty_groups", *groups)
 bank = sr.build_vbank((10.0, 12.0, 8.0))
 show("vbank", *[str(p) for p in bank.pairs], *[bank.get(p) for p in bank.pairs])
-with tempfile.TemporaryDirectory() as tmp:
-    sr.write_vbank(bank, Path(tmp) / "bank.vbk")
-    show("vbank_file", (Path(tmp) / "bank.vbk").read_bytes())
+with tempfile.TemporaryDirectory() as tmp:  # the bytes each writer puts on disk
+    path, frng = Path(tmp) / "file", np.random.default_rng(5)
+    sr.write_vbank(bank, path)
+    show("vbank_file", path.read_bytes())
+    files = []
+    for vol in (sr.Volume(frng.normal(size=(2, 3, 4)), (0.92, 0.92, 2.5), (1.0, -2.0, 3.5)),
+                sr.Volume(frng.normal(size=(3, 1, 2, 3)), (1, 2, 3))):  # scalar and 3-component
+        sr.write_volume(vol, path)
+        files.append(path.read_bytes())
+    show("volume_file", *files)
+    geo = core.GridGeometry((2, 1, 3), (10.0, 7.5, 8.0), (-12.5, 0.25, -3.75))
+    sr.write_grid(core.ControlPointGrid(geo, frng.normal(size=(3,) + geo.lattice_shape)), path)
+    show("grid_file", path.read_bytes())
 mse, warped, centers, fits = [], [], [], []
 for fixed, moving in map(image_pair, SHAPES):
     geometry = sr.covering_geometry(fixed, (8.0,) * 3)
