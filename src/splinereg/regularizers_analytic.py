@@ -419,12 +419,6 @@ def _lattice_penalty(grid, weights, bank, with_gradient: bool, thread_count: int
 # lines, then the matrices as raw little-endian float64, row-major in header order.
 # ---------------------------------------------------------------------------
 
-def _parse_delta(code: str) -> tuple:
-    if len(code) != 3 or not code.isdigit():
-        raise FormatError(f"malformed derivative code {code!r}")
-    return tuple(int(ch) for ch in code)
-
-
 def write_vbank(bank: VMatrixBank, path):
     pairs = [("pair", ["".join(map(str, d)) for d in (p.delta_i, p.delta_j)]) for p in bank.pairs]
     _write_file(path, "VBANK1", [("spacing", bank.tile_spacing), ("pairs", (len(bank),))] + pairs,
@@ -438,7 +432,7 @@ def read_vbank(path) -> VMatrixBank:
         (count,) = _numbers("pairs", count, int, 1)
         codes = _read_header(fh, itertools.repeat(("pair", 2), count))
         matrices = _read_payload(fh, "<f8", (count, 64, 64))
-    entries = {DerivPair(_parse_delta(di), _parse_delta(dj)): v for (di, dj), v in zip(codes, matrices)}
+    entries = {DerivPair(*(tuple(map(int, code)) for code in pair)): v for pair, v in zip(codes, matrices)}
     if len(entries) != count:
         raise FormatError(f"VBANK1 header repeats a pair: its {count} pair lines name {len(entries)} operators")
     return VMatrixBank(_numbers("spacing", spacing, low=core.MIN_TILE_SPACING), entries)

@@ -113,11 +113,14 @@ def _read_header(fh, fields, magic: str | None = None) -> list:
 
 def _numbers(key: str, values, kind=float, low=-np.inf) -> tuple:
     """The values of header field `key` as `kind`, each finite and >= `low`."""
-    numbers = tuple(kind(v) for v in values)
-    if not all(np.isfinite(v) and v >= low for v in numbers):
-        bound = f" and >= {low}" if low > -np.inf else ""
-        raise FormatError(f"header field '{key} {' '.join(values)}': values must be finite{bound}")
-    return numbers
+    try:
+        numbers = tuple(kind(v) for v in values)
+        if all(np.isfinite(v) and v >= low for v in numbers):
+            return numbers
+    except ValueError:  # not a number of that kind
+        pass
+    bound = f" >= {low}" if low > -np.inf else ""
+    raise FormatError(f"header field '{key} {' '.join(values)}': values must be finite {kind.__name__}s{bound}")
 
 
 def _read_payload(fh, dtype: str, shape) -> np.ndarray:

@@ -116,6 +116,7 @@ def test_repeated_vbank_pair_is_rejected(tmp_path):
     ("BSPG1", b"spacing 10.0 10.0 10.0", b"spacing 10.0 nan 10.0"),
     ("VOL1", b"spacing 1.0 1.0 1.0", b"spacing 1.0 1.0 -inf"),
     ("VOL1", b"spacing 1.0 1.0 1.0", b"spacing 1.0 0.0 1.0"),
+    ("BSPG1", b"spacing 10.0 10.0 10.0", b"spacing 10.0 ten 10.0"),  # not a number
 ])
 def test_header_spacing_out_of_range_is_rejected(tmp_path, fmt, line, edited):
     _read_edited(tmp_path, fmt, line, edited, f"header field '{edited.decode()}'")
@@ -131,6 +132,7 @@ def test_header_origin_not_finite_is_rejected(tmp_path, fmt, edited):
     ("VOL1", b"dims 2 3 2", b"dims -2 -2 2"),
     ("VOL1", b"dims 2 3 2", b"dims -1 2 2"),
     ("VOL1", b"dims 2 3 2", b"dims 2 0 2"),
+    ("VOL1", b"dims 2 3 2", b"dims 2 3 2.0"),  # not an integer
     ("BSPG1", b"tiles 2 1 1", b"tiles 2 0 1"),
     ("VBANK1", b"pairs 23", b"pairs 0"),
     ("VBANK1", b"pairs 23", b"pairs -23"),
