@@ -432,7 +432,10 @@ def read_vbank(path) -> VMatrixBank:
         (count,) = _numbers("pairs", count, int, 1)
         codes = _read_header(fh, itertools.repeat(("pair", 2), count))
         matrices = _read_payload(fh, "<f8", (count, 64, 64))
-    entries = {DerivPair(*(tuple(map(int, code)) for code in pair)): v for pair, v in zip(codes, matrices)}
+    try:
+        entries = {DerivPair(*(tuple(map(int, code)) for code in pair)): v for pair, v in zip(codes, matrices)}
+    except ValueError as exc:
+        raise FormatError(f"VBANK1 pair line names no canonical derivative pair: {exc}") from exc
     if len(entries) != count:
         raise FormatError(f"VBANK1 header repeats a pair: its {count} pair lines name {len(entries)} operators")
     return VMatrixBank(_numbers("spacing", spacing, low=core.MIN_TILE_SPACING), entries)

@@ -109,6 +109,11 @@ def test_repeated_vbank_pair_is_rejected(tmp_path):
     _read_edited(tmp_path, "VBANK1", b"pair 100 100", b"pair 000 000", "repeats a pair: its 23 pair lines name 22")
 
 
+@pytest.mark.parametrize("edited", [b"pair 100 000", b"pair 400 400", b"pair 10 100", b"pair 1x0 1x0"])
+def test_vbank_pair_naming_no_canonical_pair_is_rejected(tmp_path, edited):
+    _read_edited(tmp_path, "VBANK1", b"pair 100 100", edited, "names no canonical derivative pair")
+
+
 @pytest.mark.parametrize("fmt, line, edited", [
     ("VBANK1", b"spacing 1.0 2.0 3.0", b"spacing -1.0 nan 0.0"),
     ("VBANK1", b"spacing 1.0 2.0 3.0", b"spacing 1.0 inf 3.0"),
