@@ -30,6 +30,7 @@ from .volume_io import (
     box_downsample,
     covering_geometry,
     _hull_faded_sample,
+    _voxel_weights,
     _warped_planes,
 )
 
@@ -127,7 +128,7 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) ->
     if not (geometry.contains(near) and geometry.contains(far)):
         raise ValueError("grid extent does not cover the fixed image")
 
-    ws = [core.axis_weight_matrix(geometry, d, axes[d], 0) for d in range(3)]
+    ws = _voxel_weights(geometry, fixed)  # built once for all of a stage's evaluations
     cost, gradient = np.empty(fixed.dims), np.zeros((3,) + geometry.lattice_shape)
     for part in core._slabs(fixed.dims):
         planes = _warped_planes(grid, axes, ws, part)

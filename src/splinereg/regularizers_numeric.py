@@ -13,8 +13,12 @@ Both are plain loops over the ordered sums of `_uses`, which counts each
 distinct derivative's multiplicity from the ordered direction tuples instead
 of reading the analytic tables, so the analytic multiplicities are checked
 rather than shared. `fd_penalty` takes every derivative but S3's three
-diagonal first derivatives in cache-sized slabs (`_square_sum`), by the
-flat-offset stencil of `_derivative`, and sums no entry of its garbage margin.
+diagonal first derivatives in cache-sized slabs (`_square_sum`): the axis-0
+stencil differences only the slab's rows, reading their neighbours straight
+from the samples (`_row_derivative`), and the axis-1 and axis-2 stencils run
+at a flat offset (`_derivative`); both share one formula (`_stencil`), and no
+entry of the garbage margin is summed. S3 takes each diagonal derivative once,
+as a whole volume, for both its square and its cross products.
 Each call pins BLAS to one thread while it samples and sums, as `penalty`
 does, so the three routes are timed at one BLAS setting whoever calls them.
 """
@@ -111,13 +115,26 @@ def dense_field(grid: core.ControlPointGrid, spec: SamplingSpec) -> Volume:
     return Volume(data=data, spacing=steps, origin=origin)
 
 
+def _stencil(hi, mid, lo, order: int, h: float, out: np.ndarray) -> np.ndarray:
+    """The first (order 1) or second central difference of each sample from its
+    neighbours one step up (`hi`) and down (`lo`), into `out`; the second keeps
+    the order of (hi - 2 mid + lo) / h^2. Elementwise, so its bits do not
+    depend on the layout of the samples it is handed."""
+    if order == 1:
+        np.subtract(hi, lo, out=out)
+        return np.divide(out, 2.0 * h, out=out)
+    np.multiply(mid, 2.0, out=out)
+    np.subtract(hi, out, out=out)
+    np.add(out, lo, out=out)
+    return np.divide(out, h * h, out=out)
+
+
 def _derivative(arr: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
     """The order-th central difference along `axis` (order 0 returns `arr`).
 
-    Each difference runs as contiguous ufunc passes over the C-order flat
-    samples at the flat offset k of one step along `axis`; the second keeps
-    the order of (hi - 2 mid + lo) / h^2, and the third nests a first
-    difference over the second. So an entry within the stencil's half-width,
+    Each difference is one `_stencil` over the C-order flat samples at the
+    flat offset k of one step along `axis`; the third nests a first difference
+    over the second. So an entry within the stencil's half-width,
     (order + 1) // 2 samples, of a face normal to `axis` takes its neighbours
     from an adjacent row: it is garbage (finite; the first and last k flat
     entries are 0), and no caller sums it.
@@ -127,42 +144,55 @@ def _derivative(arr: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
     a = np.ravel(arr)
     k = math.prod(arr.shape[axis + 1:])
     out = np.empty_like(a)
-    mid = out[k:-k]
-    if order == 1:
-        np.subtract(a[2 * k:], a[:-2 * k], out=mid)
-        np.divide(mid, 2.0 * h, out=mid)
-    else:
-        np.multiply(a[k:-k], 2.0, out=mid)
-        np.subtract(a[2 * k:], mid, out=mid)
-        np.add(mid, a[:-2 * k], out=mid)
-        np.divide(mid, h * h, out=mid)
+    _stencil(a[2 * k:], a[k:-k], a[:-2 * k], min(order, 2), h, out[k:-k])
     out[:k] = out[-k:] = 0.0
     out = out.reshape(arr.shape)
     return _derivative(out, axis, 1, h) if order == 3 else out
+
+
+def _row_derivative(samples: np.ndarray, lo: int, rows: int, order: int, h: float) -> np.ndarray:
+    """Rows lo to lo + rows - 1 of `_derivative(samples, 0, order, h)`, with
+    the same bits. Each row's neighbours are read straight from `samples`,
+    which must hold the (order + 1) // 2 rows on either side of the window.
+    No row outside the window is differenced, but order 3 takes the second
+    difference on the window plus one row each side."""
+    if order == 0:
+        return samples[lo:lo + rows]
+    if order == 3:
+        second = _row_derivative(samples, lo - 1, rows + 2, 2, h)
+        return _stencil(second[2:], None, second[:-2], 1, h, np.empty((rows,) + samples.shape[1:]))
+    out = np.empty((rows,) + samples.shape[1:])
+    return _stencil(samples[lo + 1:lo + rows + 1], samples[lo:lo + rows], samples[lo - 1:lo + rows - 1], order, h, out)
 
 
 def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndarray) -> float:
     """Sum of squares of derivative `delta` of `samples` over the samples at
     least `margin` from every face (`margin` covers each axis's stencil).
 
-    The interior is walked in `core._slabs` of output rows: the axis-0 stencil
-    runs on the slab's rows plus a halo of its half-width, the halo is
-    dropped, and the axis-1 and axis-2 stencils run on the rest. Each slab
-    squares into its rows of one interior-shaped view of the flat scratch
-    buffer `squares`, which is summed whole, so the sum sees the same values
-    in the same layout as a sum over the whole-volume derivative's interior.
+    The interior is walked in `core._slabs` of output rows: the axis-0
+    stencil runs on just the slab's rows (`_row_derivative`), then the axis-1
+    and axis-2 stencils on whole rows. Each slab squares into its rows of one
+    interior-shaped view of the flat scratch buffer `squares`, which is summed
+    whole, so the sum sees the same values in the same layout as a sum over
+    the whole-volume derivative's interior (`_interior_square_sum`).
     """
     inner = _interior(samples.shape, margin)
     buf = squares[:math.prod(inner)].reshape(inner)
-    halo = (delta[0] + 1) // 2
     for part in core._slabs(inner, _WALK_POINTS):
         rows = min(part.stop, inner[0]) - part.start
-        lo = part.start + margin - halo
-        d = _derivative(samples[lo:lo + rows + 2 * halo], 0, delta[0], steps[0])[halo:halo + rows]
+        d = _row_derivative(samples, part.start + margin, rows, delta[0], steps[0])
         d = _derivative(d, 1, delta[1], steps[1])
         d = _derivative(d, 2, delta[2], steps[2])
         np.square(d[:, margin:margin + inner[1], margin:margin + inner[2]], out=buf[part])
     return np.sum(buf)
+
+
+def _interior_square_sum(d: np.ndarray, margin: int, squares: np.ndarray) -> float:
+    """Sum of squares of the whole-volume derivative `d` over the samples at
+    least `margin` from every face, squared into the scratch buffer `squares`."""
+    inner = _interior(d.shape, margin)
+    buf = squares[:math.prod(inner)].reshape(inner)
+    return np.sum(np.square(d[margin:margin + inner[0], margin:margin + inner[1], margin:margin + inner[2]], out=buf))
 
 
 def _interior(shape, margin: int) -> tuple:
@@ -192,11 +222,12 @@ def _uses(wanted) -> dict:
     return uses
 
 
-def _add_cross(out: np.ndarray, diag, region):
+def _add_cross(out: np.ndarray, diag, region, prod: np.ndarray):
     """Add S3's cross products of the distinct diagonal first derivatives
-    d nu_c / d x_c in `diag`, each once, summed over `region`."""
+    d nu_c / d x_c in `diag`, each once, summed over `region`; each product
+    is written in turn into `prod`, an array of the diagonals' shape."""
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        out[2] += np.sum((diag[a] * diag[b])[region])
+        out[2] += np.sum(np.multiply(diag[a], diag[b], out=prod)[region])
 
 
 def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
@@ -239,17 +270,21 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
             samples = core.sample_partial(grid, axes, c + 1, (0, 0, 0))
             if clamp:
                 samples = np.pad(samples, 2, mode="edge")
+            diagonal = tuple(int(a == c) for a in range(3)) if 2 in wanted else None  # d nu_c / d x_c
+            sums = {delta: _square_sum(samples, delta, steps, margin[sum(delta)], squares)
+                    for delta in uses if delta != diagonal}
+            if diagonal:  # taken once, whole, for S3's cross products, after the slabs' temporaries
+                diag.append(_derivative(samples, c, 1, steps[c]))
+                sums[diagonal] = _interior_square_sum(diag[-1], margin[1], squares)
             # lexicographic, the order the terms have always accumulated in: it
             # fixes their last bits
             for delta in sorted(uses):
-                s = _square_sum(samples, delta, steps, margin[sum(delta)], squares)
                 for n, mult in uses[delta].items():
-                    out[n] += mult * s
-            if 2 in wanted:
-                diag.append(_derivative(samples, c, 1, steps[c]))
-            del samples  # freed before the next component is sampled
-        if 2 in wanted:
-            _add_cross(out, diag, (slice(margin[1], -margin[1]),) * 3)
+                    out[n] += mult * sums[delta]
+            if c < 2:
+                del samples  # freed before the next component is sampled
+        if 2 in wanted:  # the last component's spent samples take each cross product
+            _add_cross(out, diag, (slice(margin[1], -margin[1]),) * 3, samples)
     out *= float(np.prod(steps))
     return PenaltyResult(value=float(weights.as_array() @ out), terms=out, gradient=None)
 
@@ -286,7 +321,7 @@ def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyResult:
                         out[n] += mult * s
                     if delta[c] == sum(delta) == 1:  # d nu_c / d x_c
                         diag.append(d)
-            _add_cross(out, diag, ...)
+            _add_cross(out, diag, ..., np.empty_like(diag[0]))
             terms += out
     terms *= float(np.prod(geometry.tile_spacing)) / float(np.prod(spt))
     return PenaltyResult(value=float(weights.as_array() @ terms), terms=terms, gradient=None)

@@ -44,6 +44,8 @@ class Volume:
         self.origin = core._triple(self.origin, "origin")
         if any(s <= 0 or not np.isfinite(s) for s in self.spacing):
             raise ValueError(f"voxel spacing must be positive, got {self.spacing}")
+        if any(not np.isfinite(o) for o in self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
 
     @property
     def dims(self) -> tuple:
@@ -317,17 +319,35 @@ def _warped_planes(grid: core.ControlPointGrid, axes, ws, part=slice(None)) -> n
     return planes
 
 
+_weights_memo = (None, None)  # (geometry, voxel grid) of the last `_voxel_weights` call, and its weights
+
+
+def _voxel_weights(geometry: core.GridGeometry, like: Volume) -> tuple:
+    """The 0th-order weight matrices of `like`'s voxel centers on `geometry`,
+    one per axis. They depend on nothing else, so the last geometry and voxel
+    grid asked for keep theirs, read-only: every evaluation of a registration
+    stage asks for the same ones."""
+    global _weights_memo
+    key, ws = _weights_memo
+    wanted = (geometry, like.dims, like.spacing, like.origin)
+    if key != wanted:
+        ws = tuple(core.axis_weight_matrix(geometry, d, like.axis_coords(d), 0) for d in range(3))
+        for w in ws:
+            w.flags.writeable = False
+        _weights_memo = (wanted, ws)
+    return ws
+
+
 def warped_voxel_centers(grid: core.ControlPointGrid, like: Volume) -> np.ndarray:
     """Positions x + v(x) of every voxel center x of `like`: a like.dims + (3,) planar view."""
     axes = [like.axis_coords(d) for d in range(3)]
-    ws = [core.axis_weight_matrix(grid.geometry, d, axes[d], 0) for d in range(3)]
-    return np.moveaxis(_warped_planes(grid, axes, ws), 0, -1)
+    return np.moveaxis(_warped_planes(grid, axes, _voxel_weights(grid.geometry, like)), 0, -1)
 
 
 def warp_volume(moving: Volume, grid: core.ControlPointGrid, like: Volume) -> Volume:
     """Resample `moving` through x -> x + v(x) onto `like`'s voxels, block by block."""
     axes = [like.axis_coords(d) for d in range(3)]
-    ws = [core.axis_weight_matrix(grid.geometry, d, axes[d], 0) for d in range(3)]
+    ws = _voxel_weights(grid.geometry, like)
     values = np.empty(like.dims)
     for part in core._slabs(like.dims):
         points = np.moveaxis(_warped_planes(grid, axes, ws, part), 0, -1)

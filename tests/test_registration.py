@@ -182,6 +182,36 @@ def test_mse_builds_axis_weights_once(monkeypatch):
     assert sorted(calls) == [0, 1, 2]
 
 
+def test_optimize_builds_axis_weights_once_per_stage(monkeypatch):
+    """The data term's per-axis weight matrices depend only on the stage's
+    geometry and image, so a stage builds them once, however many evaluations
+    it makes, and shares them read-only."""
+    calls = []
+    build = core.axis_weight_matrix
+
+    def counted(geometry, axis, coords, order=0):
+        calls.append(axis)
+        return build(geometry, axis, coords, order)
+
+    monkeypatch.setattr(core, "axis_weight_matrix", counted)
+    moving = blob_volume(dims=(20, 20, 20), seed=11)
+    fixed = blob_volume(dims=(20, 20, 20), seed=12)
+    built, evaluations = [], []
+    for cap in (1, 5):
+        monkeypatch.setattr(vio, "_weights_memo", (None, None))
+        calls.clear()
+        config = reg.RegistrationConfig(
+            stages=(reg.RegistrationStage((20.0,) * 3, cap, 2), reg.RegistrationStage((10.0,) * 3, cap)),
+            weights=RegularizerWeights(curvature=1e-2))
+        _, history = reg.optimize(fixed, moving, config)
+        built.append(len(calls))
+        evaluations.append(sum(h.evaluations for h in history))
+    assert built[0] == built[1] and evaluations[0] < evaluations[1]
+    ws = vio._voxel_weights(vio.covering_geometry(fixed, (10.0,) * 3), fixed)
+    assert ws is vio._voxel_weights(vio.covering_geometry(fixed, (10.0,) * 3), fixed)
+    assert not any(w.flags.writeable for w in ws)
+
+
 def test_mse_cost_grad_memory_stays_bounded():
     """One evaluation holds the cost as its only whole volume, plus one row
     block's temporaries and the lattice-sized gradient. So in volumes the

@@ -311,6 +311,22 @@ def test_flat_offset_stencils_match_whole_volume_formulas(axis):
         np.testing.assert_array_equal(got[inner], _frozen_central(arr, axis, 0.7, order)[inner])
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_row_window_stencil_bitwise_equals_whole_volume_stencil(order):
+    """The axis-0 stencil on a window of rows keeps the bits of the
+    whole-volume stencil on every window a slab asks for: the first and the
+    last kept row of a block, a one-row window (a short last slab) and a whole
+    interior, at the margins of skip-boundary ((order + 1) // 2) and clamp (2)."""
+    samples = np.random.default_rng(order).normal(size=(12, 7, 9))
+    whole = rn._derivative(samples, 0, order, 0.7)
+    for margin in sorted({(order + 1) // 2, 2}):
+        end = samples.shape[0] - margin  # one past the last kept row
+        for lo, rows in ((margin, 1), (margin, 3), (end - 1, 1), (end - 4, 4), (margin, end - margin)):
+            got = rn._row_derivative(samples, lo, rows, order, 0.7)
+            assert got.shape == (rows,) + samples.shape[1:]
+            np.testing.assert_array_equal(got, whole[lo:lo + rows])
+
+
 def _peak_volumes(grid, spec, terms=None):
     """tracemalloc peak of one fd_penalty call, in 64^3 float64 volumes."""
     tracemalloc.start()
@@ -357,6 +373,17 @@ def test_fd_penalty_holds_one_component_at_a_time(term):
     grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
     peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[term])
     assert peak <= 2.75, f"peak {peak:.2f} volumes"
+
+
+def test_fd_penalty_linear_elastic_memory_stays_bounded():
+    """S3 alone at 64^3 samples holds one component's samples, one squares
+    buffer and its three whole diagonal first derivatives, each taken once,
+    after the component's slabs (4.94 volumes). Its cross products reuse the
+    last component's spent samples: one more whole-volume product would read
+    5.9, and the last diagonal taken before the slabs' temporaries 5.16."""
+    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
+    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[2])
+    assert peak <= 5.1, f"peak {peak:.2f} volumes"
 
 
 # ---------------------------------------------------------------------------

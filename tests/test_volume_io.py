@@ -63,6 +63,14 @@ def test_volume_errors(tmp_path):
         vio.read_volume(bad_dtype)
 
 
+@pytest.mark.parametrize("origin", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf)])
+def test_volume_rejects_a_non_finite_origin(origin):
+    """A Volume that write_volume could write but read_volume would reject is
+    never made: its origin must be finite, as a GridGeometry's must."""
+    with pytest.raises(ValueError, match="origin must be finite"):
+        vio.Volume(np.zeros((2, 2, 2)), (1, 1, 1), origin)
+
+
 def _format_files(tmp_path):
     """Format name to (path, reader) of one valid VOL1, BSPG1 and VBANK1 file."""
     from splinereg import regularizers_analytic as ra
