@@ -327,10 +327,17 @@ def _slabs(shape, points: int = _SLAB_POINTS) -> list:
     return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
 
 
-def _contract(lattice: np.ndarray, w1: np.ndarray, w2: np.ndarray, w3: np.ndarray) -> np.ndarray:
+def _contract(lattice: np.ndarray, w1: np.ndarray, w2: np.ndarray, w3: np.ndarray, out=None) -> np.ndarray:
+    """The lattice contracted with the per-axis weight matrices: (S1, S2, S3)
+    samples, written into `out` (a C-contiguous float64 array of that shape)
+    when given, else into a new array, with the same bits either way."""
     # each product is the one np.tensordot makes along the same axes, minus its argument handling
     (p1, p2, p3), s2, s3 = lattice.shape, len(w2), len(w3)
-    out, flat = np.empty((len(w1), s2, s3)), lattice.reshape(p1, -1)
+    shape, flat = (len(w1), s2, s3), lattice.reshape(p1, -1)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     for part in _slabs(out.shape):
         block = np.dot(w1[part], flat).reshape(-1, p2, p3).transpose(0, 2, 1).reshape(-1, p2)
         block = np.dot(block, w2.T).reshape(-1, p3, s2).transpose(0, 2, 1).reshape(-1, p3)
@@ -343,7 +350,7 @@ def _sample_planes(grid: ControlPointGrid, ws) -> np.ndarray:
     given the grid's per-axis 0th-order weight matrices `ws` there."""
     planes = np.empty((3,) + tuple(len(w) for w in ws))
     for c in range(3):
-        planes[c] = _contract(grid.coefficients[c], *ws)
+        _contract(grid.coefficients[c], *ws, out=planes[c])
     return planes
 
 

@@ -146,6 +146,26 @@ def mse_cost_grad(fixed: Volume, moving: Volume, grid: core.ControlPointGrid) ->
     return float(np.sum(cost)), gradient
 
 
+def _collocation_rank(w: np.ndarray, coords) -> int:
+    """Rank of the B-spline weight matrix `w` of the sample positions `coords`
+    along one axis, from its nonzero pattern alone (Schoenberg-Whitney; de Boor,
+    A Practical Guide to Splines): a square submatrix of distinct increasing
+    sites and increasing basis functions is nonsingular exactly when its
+    diagonal is nonzero. Each site's nonzeros are one run of columns whose
+    ends rise with the site, so matching each distinct site in turn to the
+    first free column of its run gives the largest such diagonal."""
+    sites = np.unique(np.asarray(coords, dtype=float), return_index=True)[1]
+    support = w[sites] != 0
+    first = support.argmax(axis=1).tolist()
+    last = (w.shape[1] - 1 - support[:, ::-1].argmax(axis=1)).tolist()
+    rank = free = 0  # sites matched so far, and the first column none holds
+    for lo, hi in zip(first, last):
+        column = max(lo, free)
+        if column <= hi:
+            rank, free = rank + 1, column + 1
+    return rank
+
+
 def fit_grid_to_field(
     geometry: core.GridGeometry, axes, field_samples: np.ndarray
 ) -> core.ControlPointGrid:
@@ -157,7 +177,7 @@ def fit_grid_to_field(
     ws = [core.axis_weight_matrix(geometry, d, axes[d], 0) for d in range(3)]
     solvers = []
     for axis, w in enumerate(ws, 1):
-        rank = np.linalg.matrix_rank(w)  # at most the sample count
+        rank = _collocation_rank(w, axes[axis - 1])  # at most the sample count
         if rank < w.shape[1]:
             raise ValueError(f"axis {axis}: {w.shape[0]} samples determine only {rank} of {w.shape[1]} control points")
         gram = w.T @ w

@@ -12,13 +12,17 @@ closed-form values.
 Both are plain loops over the ordered sums of `_uses`, which counts each
 distinct derivative's multiplicity from the ordered direction tuples instead
 of reading the analytic tables, so the analytic multiplicities are checked
-rather than shared. `fd_penalty` takes every derivative but S3's three
-diagonal first derivatives in cache-sized slabs (`_square_sum`): the axis-0
-stencil differences only the slab's rows, reading their neighbours straight
-from the samples (`_row_derivative`), and the axis-1 and axis-2 stencils run
-at a flat offset (`_derivative`); both share one formula (`_stencil`), and no
-entry of the garbage margin is summed. S3 takes each diagonal derivative once,
-as a whole volume, for both its square and its cross products.
+rather than shared. `fd_penalty` takes every derivative in cache-sized slabs
+(`_square_sum`): the axis-0 stencil differences only the slab's rows, reading
+their neighbours straight from the samples (`_row_derivative`), and the axis-1
+and axis-2 stencils run at a flat offset (`_derivative`); both share one
+formula (`_stencil`), and no entry of the garbage margin is summed. S3's
+diagonal first derivatives d nu_c / d x_c overwrite their component's spent
+samples in place, slab by slab (`_diagonal_in_place`), so S3 holds at most
+three whole sample blocks: the squares buffer and two diagonals. Its cross
+products run (0, 2), then (1, 2), then (0, 1), each into a spent buffer, and
+component 0 is sampled twice, since its diagonal is dropped while component
+1 is differenced.
 Each call pins BLAS to one thread while it samples and sums, as `penalty`
 does, so the three routes are timed at one BLAS setting whoever calls them.
 """
@@ -187,8 +191,55 @@ def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndar
     return np.sum(buf)
 
 
+def _diagonal_in_place(samples: np.ndarray, axis: int, h: float, margin: int, points: int = _WALK_POINTS):
+    """Overwrite `samples` with their first central difference along `axis`
+    on the samples at least `margin` (>= 1) from every face, with the bits of
+    `_derivative(samples, axis, 1, h)` there; the rest keep finite values
+    that no caller sums.
+
+    The region is walked in `core._slabs` of its axis-0 rows through one
+    slab-sized temporary. Along axes 1 and 2 a slab reads only its own rows.
+    Along axis 0 its first row's lower neighbour is the row the slab before
+    has overwritten, so that row's original is carried across slabs.
+    """
+    inner = _interior(samples.shape, margin)
+    parts = core._slabs(inner, points)
+    tmp = np.empty((parts[0].stop - parts[0].start,) + samples.shape[1:])
+    end = samples.shape[axis] - margin  # one past the last kept sample along `axis`
+    carry = samples[margin - 1].copy() if axis == 0 else None
+    for part in parts:
+        lo, hi = part.start + margin, min(part.stop, inner[0]) + margin
+        if axis == 0:
+            t = tmp[:hi - lo]
+            _stencil(samples[lo + 1], None, carry, 1, h, t[0])
+            _stencil(samples[lo + 2:hi + 1], None, samples[lo:hi - 1], 1, h, t[1:])
+            carry[...] = samples[hi - 1]
+            samples[lo:hi] = t
+        else:
+            slab = samples[lo:hi]
+            kept = slab[_along(axis, margin, end)]
+            t = tmp.reshape(-1)[:kept.size].reshape(kept.shape)
+            _stencil(slab[_along(axis, margin + 1, end + 1)], None, slab[_along(axis, margin - 1, end - 1)], 1, h, t)
+            kept[...] = t
+
+
+def _along(axis: int, start: int, stop: int) -> tuple:
+    """Index of samples start to stop - 1 along `axis`, all along the others."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _edge_pad(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.pad(raw, 2, mode="edge"), written into `out`."""
+    out[2:-2, 2:-2, 2:-2] = raw
+    for axis in range(3):  # each pass copies faces the passes before completed
+        face = np.moveaxis(out, axis, 0)
+        face[:2] = face[2]
+        face[-2:] = face[-3]
+    return out
+
+
 def _interior_square_sum(d: np.ndarray, margin: int, squares: np.ndarray) -> float:
-    """Sum of squares of the whole-volume derivative `d` over the samples at
+    """Sum of squares of the block-shaped derivative `d` over the samples at
     least `margin` from every face, squared into the scratch buffer `squares`."""
     inner = _interior(d.shape, margin)
     buf = squares[:math.prod(inner)].reshape(inner)
@@ -222,14 +273,6 @@ def _uses(wanted) -> dict:
     return uses
 
 
-def _add_cross(out: np.ndarray, diag, region, prod: np.ndarray):
-    """Add S3's cross products of the distinct diagonal first derivatives
-    d nu_c / d x_c in `diag`, each once, summed over `region`; each product
-    is written in turn into `prod`, an array of the diagonals' shape."""
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        out[2] += np.sum(np.multiply(diag[a], diag[b], out=prod)[region])
-
-
 def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
     """Finite-difference penalties over a dense sampling of the field.
 
@@ -253,38 +296,67 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
             )
 
     clamp = spec.boundary_policy == "clamp"
-    block = tuple(len(a) + (4 if clamp else 0) for a in axes)
+    raw = tuple(len(a) for a in axes)
+    block = tuple(n + (4 if clamp else 0) for n in raw)
     # per derivative order: clamp's edge padding of 2 absorbs every stencil;
     # skip-boundary drops the widest per-axis stencil half-width of that order
     margin = [2 if clamp else (order + 1) // 2 for order in range(4)]
     # one scratch buffer for every derivative's squares, sized for the widest
-    # interior any wanted regularizer sums (checked here, before sampling)
+    # interior any wanted regularizer sums (checked here, before sampling); it
+    # also holds clamp's unpadded samples and one of S3's cross products
     size = max((math.prod(_interior(block, margin[_ORDERS[n]])) for n in wanted), default=0)
-    squares = np.empty(size)
-
+    linear_elastic = 2 in wanted
+    squares = np.empty(math.prod(block) if linear_elastic else size)
+    ws = [core.axis_weight_matrix(grid.geometry, d, axes[d], 0) for d in range(3)]
     uses = _uses(wanted)
-    out = np.zeros(5)
-    diag = []
+    sums = [None] * 3  # per component: {multi-index: sum of squares}
+
+    def sample(c, into):
+        """Component c's samples on the block, written into `into`; under clamp
+        contracted into the spent squares buffer first, then edge-padded."""
+        if not clamp:
+            return core._contract(grid.coefficients[c], *ws, out=into)
+        unpadded = core._contract(grid.coefficients[c], *ws, out=squares[:math.prod(raw)].reshape(raw))
+        return _edge_pad(unpadded, into)
+
+    def square_sums(c):
+        """Component c's sums of squares, each derivative taken once; with S3,
+        its spent samples become its diagonal first derivative, returned."""
+        samples = sample(c, np.empty(block))
+        diag = tuple(int(a == c) for a in range(3)) if linear_elastic else None
+        sums[c] = {delta: _square_sum(samples, delta, steps, margin[sum(delta)], squares)
+                   for delta in uses if delta != diag}
+        if diag:
+            _diagonal_in_place(samples, c, steps[c], margin[1])
+            sums[c][diag] = _interior_square_sum(samples, margin[1], squares)
+            return samples
+
+    cross = {}
     with single_threaded_blas():
-        for c in range(3):
-            samples = core.sample_partial(grid, axes, c + 1, (0, 0, 0))
-            if clamp:
-                samples = np.pad(samples, 2, mode="edge")
-            diagonal = tuple(int(a == c) for a in range(3)) if 2 in wanted else None  # d nu_c / d x_c
-            sums = {delta: _square_sum(samples, delta, steps, margin[sum(delta)], squares)
-                    for delta in uses if delta != diagonal}
-            if diagonal:  # taken once, whole, for S3's cross products, after the slabs' temporaries
-                diag.append(_derivative(samples, c, 1, steps[c]))
-                sums[diagonal] = _interior_square_sum(diag[-1], margin[1], squares)
-            # lexicographic, the order the terms have always accumulated in: it
-            # fixes their last bits
-            for delta in sorted(uses):
-                for n, mult in uses[delta].items():
-                    out[n] += mult * sums[delta]
-            if c < 2:
-                del samples  # freed before the next component is sampled
-        if 2 in wanted:  # the last component's spent samples take each cross product
-            _add_cross(out, diag, (slice(margin[1], -margin[1]),) * 3, samples)
+        if linear_elastic:  # at most three whole blocks: the squares buffer and two diagonals
+            region = (slice(margin[1], -margin[1]),) * 3
+            d2 = square_sums(2)
+            d0 = square_sums(0)
+            cross[0, 2] = np.sum(np.multiply(d0, d2, out=squares.reshape(block))[region])
+            del d0
+            d1 = square_sums(1)
+            cross[1, 2] = np.sum(np.multiply(d1, d2, out=d2)[region])
+            d0 = sample(0, d2)  # resampled into the spent product
+            _diagonal_in_place(d0, 0, steps[0], margin[1])
+            cross[0, 1] = np.sum(np.multiply(d0, d1, out=d0)[region])
+        elif uses:  # with no term wanted nothing is sampled
+            for c in range(3):
+                square_sums(c)
+    # components 0, 1, 2 in sorted(uses) order, then the cross products (0, 1),
+    # (0, 2), (1, 2): the order the terms have always accumulated in fixes
+    # their last bits
+    out = np.zeros(5)
+    for c in range(3):
+        for delta in sorted(uses):
+            for n, mult in uses[delta].items():
+                out[n] += mult * sums[c][delta]
+    for pair in sorted(cross):
+        out[2] += cross[pair]
     out *= float(np.prod(steps))
     return PenaltyResult(value=float(weights.as_array() @ out), terms=out, gradient=None)
 
@@ -321,7 +393,9 @@ def quadrature_penalty(grid, weights, samples_per_tile) -> PenaltyResult:
                         out[n] += mult * s
                     if delta[c] == sum(delta) == 1:  # d nu_c / d x_c
                         diag.append(d)
-            _add_cross(out, diag, ..., np.empty_like(diag[0]))
+            prod = np.empty_like(diag[0])  # S3's cross products, each once, in turn
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                out[2] += np.sum(np.multiply(diag[a], diag[b], out=prod))
             terms += out
     terms *= float(np.prod(geometry.tile_spacing)) / float(np.prod(spt))
     return PenaltyResult(value=float(weights.as_array() @ terms), terms=terms, gradient=None)

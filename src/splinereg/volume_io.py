@@ -11,7 +11,6 @@ in memory).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -223,9 +222,9 @@ def _corner_coefficients(volume: Volume, i000: np.ndarray) -> list:
     d1, d2, d3 = volume.dims
     s1, s2, s3 = (d2 * d3 if d1 > 1 else 0), (d3 if d2 > 1 else 0), (1 if d3 > 1 else 0)
     flat = volume.data.ravel()
-    offsets = [i1 * s1 + i2 * s2 + i3 * s3 for i1, i2, i3 in itertools.product((0, 1), repeat=3)]
-    # gathered in a0..a7 order, not by corner: the differences then ran about 10% faster at 16384 points
-    p = {c: flat.take(i000 + offsets[c]) for c in _MONOMIAL_CORNERS}
+    # each corner gathered from the view that starts at its offset, so no index is summed; in a0..a7
+    # order, not by corner: the differences then ran about 10% faster at 16384 points
+    p = {c: flat[(c >> 2) * s1 + (c >> 1 & 1) * s2 + (c & 1) * s3:].take(i000) for c in _MONOMIAL_CORNERS}
     for step in (4, 2, 1):  # along axis 1, 2, 3: each corner with a 1 there less its partner with a 0
         for c in p:
             if c & step:

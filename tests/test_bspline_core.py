@@ -440,6 +440,29 @@ def test_contraction_blocks_match_whole_call(shape):
     assert summed.tobytes() == core.scatter_separable(values, *ws).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(64, 64, 64), (37, 38, 35)])
+def test_contract_into_out_bitwise_equals_fresh_contract(shape):
+    """Contracting into a given array (a spent buffer of another sampling,
+    or one plane of planar storage) writes the bits of a fresh contraction
+    and returns that array; an array of another shape or layout is refused."""
+    geom = core.GridGeometry((4, 5, 6), (9.0, 10.0, 11.0), (-2.0, 3.0, 1.5))
+    rng = np.random.default_rng(20)
+    lattice = rng.normal(size=geom.lattice_shape)
+    axes = [np.linspace(o, o + e, s) for o, e, s in zip(geom.origin, geom.extent, shape)]
+    ws = [core.axis_weight_matrix(geom, d, axes[d], 0) for d in range(3)]
+    fresh = core._contract(lattice, *ws)
+    spent = rng.normal(size=shape)
+    assert core._contract(lattice, *ws, out=spent) is spent
+    assert spent.tobytes() == fresh.tobytes()
+    planes = np.full((3,) + shape, np.nan)
+    core._contract(lattice, *ws, out=planes[1])
+    assert planes[1].tobytes() == fresh.tobytes() and np.all(np.isnan(planes[[0, 2]]))
+    for bad in (np.empty(shape[:2] + (shape[2] + 1,)), np.empty(shape, dtype=np.float32),
+                np.empty(shape[:2] + (2 * shape[2],))[..., ::2]):
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+            core._contract(lattice, *ws, out=bad)
+
+
 def test_scatter_is_adjoint_of_sampling():
     grid = random_grid((2, 3, 2), (9.0, 10.0, 11.0), seed=17)
     geom = grid.geometry

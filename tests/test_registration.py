@@ -271,6 +271,43 @@ def test_fit_grid_rejects_an_undetermined_axis(axes, message):
         reg.fit_grid_to_field(geometry, axes, samples)
 
 
+def test_fit_grid_rejects_clustered_samples():
+    """Enough samples, but no column of the middle tile's run can be matched
+    to its own site: 24 samples in the first and last of six tiles leave the
+    middle control point undetermined (Schoenberg-Whitney)."""
+    geometry = core.GridGeometry((6, 4, 4), (8.0, 8.0, 8.0))
+    ends = np.concatenate([np.linspace(0.0, 7.5, 12), np.linspace(40.5, 48.0, 12)])
+    axes = [ends, np.linspace(0.0, 32.0, 24), np.linspace(0.0, 32.0, 24)]
+    assert len(ends) >= geometry.lattice_shape[0]
+    assert np.linalg.matrix_rank(core.axis_weight_matrix(geometry, 0, ends, 0)) == 8
+    with pytest.raises(ValueError, match="axis 1: 24 samples determine only 8 of 9 control points"):
+        reg.fit_grid_to_field(geometry, axes, np.zeros((24, 24, 24, 3)))
+
+
+def test_collocation_rank_agrees_with_matrix_rank():
+    """The matching rank equals the SVD rank on randomized axes: uniform,
+    clustered, on knots with repeats, and split between the two ends, over
+    one to eight tiles of random size and origin, unsorted."""
+    rng = np.random.default_rng(23)
+    kinds = ["uniform", "clustered", "knots", "ends"]
+    for trial in range(400):
+        n = int(rng.integers(1, 9))
+        geometry = core.GridGeometry((n, 1, 1), (rng.uniform(1.0, 20.0), 1.0, 1.0), (rng.uniform(-5.0, 5.0), 0, 0))
+        lo, extent, m = geometry.origin[0], geometry.extent[0], int(rng.integers(1, 3 * (n + 3)))
+        kind = kinds[trial % 4]
+        if kind == "uniform":
+            coords = rng.uniform(lo, lo + extent, m)
+        elif kind == "clustered":
+            a, b = np.sort(rng.uniform(lo, lo + extent, 2))
+            coords = rng.uniform(a, b, m)
+        elif kind == "knots":
+            coords = lo + geometry.tile_spacing[0] * rng.integers(0, n + 1, m)
+        else:
+            coords = np.concatenate([rng.uniform(lo, lo + 0.2 * extent, m), rng.uniform(lo + 0.8 * extent, lo + extent, m)])
+        w = core.axis_weight_matrix(geometry, 0, coords, 0)
+        assert reg._collocation_rank(w, coords) == np.linalg.matrix_rank(w), (kind, n, m)
+
+
 @pytest.mark.parametrize("dims, stages, message", [
     ((32, 32, 32), ((16.0, 4), (8.0, 4)), "stage 2: its image has 8 voxels on axis 1, fewer than the 11 control points"),
     ((40, 1, 40), ((16.0, 1), (8.0, 1)), "stage 2: its image has 1 voxels on axis 2, fewer than the 4 control points"),

@@ -327,6 +327,36 @@ def test_row_window_stencil_bitwise_equals_whole_volume_stencil(order):
             np.testing.assert_array_equal(got, whole[lo:lo + rows])
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_diagonal_in_place_bitwise_equals_whole_volume_stencil(axis):
+    """S3's diagonal first derivative taken in place keeps the bits of the
+    whole-volume stencil on the region the cross products sum, at the
+    skip-boundary (1) and clamp (2) margins, for walks of one-row blocks,
+    of blocks that end in a short one (one row, at margin 1 and three-row
+    blocks) and of one block; what lies off the region stays finite."""
+    samples = np.random.default_rng(10 + axis).normal(size=(12, 7, 9))
+    whole = rn._derivative(samples, axis, 1, 0.7)
+    for margin in (1, 2):
+        region = (slice(margin, -margin),) * 3
+        inner = [n - 2 * margin for n in samples.shape]
+        for rows in (1, 3, 4, inner[0]):
+            got = samples.copy()
+            rn._diagonal_in_place(got, axis, 0.7, margin, points=rows * inner[1] * inner[2])
+            assert np.all(np.isfinite(got))
+            np.testing.assert_array_equal(got[region], whole[region])
+
+
+def test_edge_pad_equals_numpy_edge_pad():
+    """clamp's padding written into a spent buffer equals np.pad's, also on
+    one-sample axes."""
+    rng = np.random.default_rng(12)
+    for shape in ((5, 6, 7), (1, 3, 1)):
+        raw = rng.normal(size=shape)
+        spent = rng.normal(size=tuple(n + 4 for n in shape))
+        assert rn._edge_pad(raw, spent) is spent
+        np.testing.assert_array_equal(spent, np.pad(raw, 2, mode="edge"))
+
+
 def _peak_volumes(grid, spec, terms=None):
     """tracemalloc peak of one fd_penalty call, in 64^3 float64 volumes."""
     tracemalloc.start()
@@ -384,6 +414,25 @@ def test_fd_penalty_linear_elastic_memory_stays_bounded():
     grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
     peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[2])
     assert peak <= 5.1, f"peak {peak:.2f} volumes"
+
+
+def test_fd_penalty_linear_elastic_holds_three_blocks():
+    """S3 alone at 64^3 samples holds at most three whole sample blocks (the
+    squares buffer and two diagonal first derivatives, each taken in place of
+    its component's samples) and slab temporaries: 3.26 volumes, where
+    holding all three diagonals beside the samples read 4.94."""
+    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
+    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[2])
+    assert peak <= 3.5, f"peak {peak:.2f} volumes"
+
+
+def test_fd_penalty_clamp_all_terms_memory_does_not_rise():
+    """All five terms under clamp at 64^3 samples (68^3-sample padded blocks)
+    stay at or below the 5.84 volumes they read while S3 held three whole
+    diagonals and each padding copied fresh samples (4.08 now)."""
+    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
+    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), "clamp"))
+    assert peak <= 5.84, f"peak {peak:.2f} volumes"
 
 
 # ---------------------------------------------------------------------------
