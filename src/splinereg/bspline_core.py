@@ -10,6 +10,7 @@ that derivatives come out in physical units (per mm) directly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,17 @@ def _triple(value, name: str, dtype=float) -> tuple:
     arr = np.asarray(value)
     if arr.shape != (3,):
         raise ValueError(f"{name} must have exactly 3 entries, got shape {arr.shape}")
-    return tuple(dtype(v) for v in arr)
+    return tuple(_count(v, name) if dtype is int else dtype(v) for v in arr.tolist())
+
+
+def _count(value, name: str) -> int:
+    """`value` as an int when it is a whole number >= 1, an integral float or
+    a numpy integer included; anything else (0, 2.5, nan, True, "3") is a
+    ValueError naming `name`."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < 1):
+        raise ValueError(f"{name} must be whole and >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -77,8 +88,6 @@ class GridGeometry:
         object.__setattr__(self, "tile_counts", _triple(self.tile_counts, "tile_counts", int))
         object.__setattr__(self, "tile_spacing", _triple(self.tile_spacing, "tile_spacing"))
         object.__setattr__(self, "origin", _triple(self.origin, "origin"))
-        if any(n < 1 for n in self.tile_counts):
-            raise ValueError(f"tile_counts must all be >= 1, got {self.tile_counts}")
         if any(not np.isfinite(r) or r < MIN_TILE_SPACING for r in self.tile_spacing):
             raise ValueError(
                 f"tile_spacing must be finite and >= {MIN_TILE_SPACING} mm, got {self.tile_spacing}"

@@ -48,10 +48,8 @@ class RegistrationStage:
         object.__setattr__(self, "grid_spacing", core._triple(self.grid_spacing, "grid_spacing"))
         if any(not np.isfinite(s) or s <= 0 for s in self.grid_spacing):
             raise ValueError(f"grid spacing must be finite and positive, got {self.grid_spacing}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.image_downsample < 1:
-            raise ValueError("image_downsample must be >= 1")
+        object.__setattr__(self, "max_iterations", core._count(self.max_iterations, "max_iterations"))
+        object.__setattr__(self, "image_downsample", core._count(self.image_downsample, "image_downsample"))
 
 
 @dataclass(frozen=True)

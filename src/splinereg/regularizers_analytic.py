@@ -370,9 +370,7 @@ def penalty_parallel(
     runs on the calling thread. Shares and cross terms merge in fixed order, so
     every thread count gives results bitwise identical to `penalty`.
     """
-    if thread_count < 1:
-        raise ValueError(f"thread_count must be >= 1, got {thread_count}")
-    return _lattice_penalty(grid, weights, bank, with_gradient, thread_count)
+    return _lattice_penalty(grid, weights, bank, with_gradient, core._count(thread_count, "thread_count"))
 
 
 def _lattice_penalty(grid, weights, bank, with_gradient: bool, thread_count: int) -> PenaltyResult:

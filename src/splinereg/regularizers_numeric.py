@@ -12,17 +12,18 @@ closed-form values.
 Both are plain loops over the ordered sums of `_uses`, which counts each
 distinct derivative's multiplicity from the ordered direction tuples instead
 of reading the analytic tables, so the analytic multiplicities are checked
-rather than shared. `fd_penalty` takes every derivative in cache-sized slabs
-(`_square_sum`): the axis-0 stencil differences only the slab's rows, reading
-their neighbours straight from the samples (`_row_derivative`), and the axis-1
-and axis-2 stencils run at a flat offset (`_derivative`); both share one
-formula (`_stencil`), and no entry of the garbage margin is summed. S3's
-diagonal first derivatives d nu_c / d x_c overwrite their component's spent
-samples in place, slab by slab (`_diagonal_in_place`), so S3 holds at most
-three whole sample blocks: the squares buffer and two diagonals. Its cross
-products run (0, 2), then (1, 2), then (0, 1), each into a spent buffer, and
-component 0 is sampled twice, since its diagonal is dropped while component
-1 is differenced.
+rather than shared. `fd_penalty` takes every derivative in one slab walk
+(`_square_sum`, slabs of `core._slabs`): the axis-0 stencil differences only
+the slab's rows, reading their neighbours straight from the samples
+(`_row_derivative`), and the axis-1 and axis-2 stencils run at a flat offset
+(`_derivative`); both share one formula (`_stencil`), and no entry of the
+garbage margin is summed. S3 takes each component's diagonal first
+derivative d nu_c / d x_c last, through the same walk run in place: it
+overwrites the component's spent samples, so S3 holds at most three whole
+sample blocks, the squares buffer and two diagonals. Its cross products run
+(0, 2), then (1, 2), then (0, 1), each into a spent buffer, and component 0
+is sampled and walked twice, since its diagonal is dropped while component 1
+is differenced.
 Each call pins BLAS to one thread while it samples and sums, as `penalty`
 does, so the three routes are timed at one BLAS setting whoever calls them.
 """
@@ -73,10 +74,7 @@ class SamplingSpec:
         else:
             if self.samples_per_tile is None:
                 raise ValueError("per-tile-samples mode requires samples_per_tile")
-            spt = tuple(int(s) for s in core._triple(self.samples_per_tile, "samples_per_tile", int))
-            if any(s < 1 for s in spt):
-                raise ValueError(f"samples_per_tile must be >= 1, got {spt}")
-            object.__setattr__(self, "samples_per_tile", spt)
+            object.__setattr__(self, "samples_per_tile", core._triple(self.samples_per_tile, "samples_per_tile", int))
 
     @classmethod
     def voxel_grid(cls, spacing, boundary_policy: str = "skip-boundary") -> "SamplingSpec":
@@ -169,7 +167,7 @@ def _row_derivative(samples: np.ndarray, lo: int, rows: int, order: int, h: floa
     return _stencil(samples[lo + 1:lo + rows + 1], samples[lo:lo + rows], samples[lo - 1:lo + rows - 1], order, h, out)
 
 
-def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndarray) -> float:
+def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndarray, in_place: bool = False) -> float:
     """Sum of squares of derivative `delta` of `samples` over the samples at
     least `margin` from every face (`margin` covers each axis's stencil).
 
@@ -178,54 +176,27 @@ def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndar
     and axis-2 stencils on whole rows. Each slab squares into its rows of one
     interior-shaped view of the flat scratch buffer `squares`, which is summed
     whole, so the sum sees the same values in the same layout as a sum over
-    the whole-volume derivative's interior (`_interior_square_sum`).
+    the interior of the whole-volume `_derivative`. With `in_place` each
+    slab's derivative also overwrites its rows of the interior of `samples`,
+    one slab late: the next slab's axis-0 stencil reads this slab's last row.
     """
     inner = _interior(samples.shape, margin)
     buf = squares[:math.prod(inner)].reshape(inner)
+    cols = (slice(margin, margin + inner[1]), slice(margin, margin + inner[2]))
+    pending = None  # (rows, derivative) of the slab before, written once the next is taken
     for part in core._slabs(inner, _WALK_POINTS):
         rows = min(part.stop, inner[0]) - part.start
         d = _row_derivative(samples, part.start + margin, rows, delta[0], steps[0])
         d = _derivative(d, 1, delta[1], steps[1])
-        d = _derivative(d, 2, delta[2], steps[2])
-        np.square(d[:, margin:margin + inner[1], margin:margin + inner[2]], out=buf[part])
+        d = _derivative(d, 2, delta[2], steps[2])[(slice(None),) + cols]
+        np.square(d, out=buf[part])
+        if in_place:
+            if pending:
+                samples[(pending[0],) + cols] = pending[1]
+            pending = slice(part.start + margin, part.start + margin + rows), d
+    if pending:
+        samples[(pending[0],) + cols] = pending[1]
     return np.sum(buf)
-
-
-def _diagonal_in_place(samples: np.ndarray, axis: int, h: float, margin: int, points: int = _WALK_POINTS):
-    """Overwrite `samples` with their first central difference along `axis`
-    on the samples at least `margin` (>= 1) from every face, with the bits of
-    `_derivative(samples, axis, 1, h)` there; the rest keep finite values
-    that no caller sums.
-
-    The region is walked in `core._slabs` of its axis-0 rows through one
-    slab-sized temporary. Along axes 1 and 2 a slab reads only its own rows.
-    Along axis 0 its first row's lower neighbour is the row the slab before
-    has overwritten, so that row's original is carried across slabs.
-    """
-    inner = _interior(samples.shape, margin)
-    parts = core._slabs(inner, points)
-    tmp = np.empty((parts[0].stop - parts[0].start,) + samples.shape[1:])
-    end = samples.shape[axis] - margin  # one past the last kept sample along `axis`
-    carry = samples[margin - 1].copy() if axis == 0 else None
-    for part in parts:
-        lo, hi = part.start + margin, min(part.stop, inner[0]) + margin
-        if axis == 0:
-            t = tmp[:hi - lo]
-            _stencil(samples[lo + 1], None, carry, 1, h, t[0])
-            _stencil(samples[lo + 2:hi + 1], None, samples[lo:hi - 1], 1, h, t[1:])
-            carry[...] = samples[hi - 1]
-            samples[lo:hi] = t
-        else:
-            slab = samples[lo:hi]
-            kept = slab[_along(axis, margin, end)]
-            t = tmp.reshape(-1)[:kept.size].reshape(kept.shape)
-            _stencil(slab[_along(axis, margin + 1, end + 1)], None, slab[_along(axis, margin - 1, end - 1)], 1, h, t)
-            kept[...] = t
-
-
-def _along(axis: int, start: int, stop: int) -> tuple:
-    """Index of samples start to stop - 1 along `axis`, all along the others."""
-    return (slice(None),) * axis + (slice(start, stop),)
 
 
 def _edge_pad(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -236,14 +207,6 @@ def _edge_pad(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
         face[:2] = face[2]
         face[-2:] = face[-3]
     return out
-
-
-def _interior_square_sum(d: np.ndarray, margin: int, squares: np.ndarray) -> float:
-    """Sum of squares of the block-shaped derivative `d` over the samples at
-    least `margin` from every face, squared into the scratch buffer `squares`."""
-    inner = _interior(d.shape, margin)
-    buf = squares[:math.prod(inner)].reshape(inner)
-    return np.sum(np.square(d[margin:margin + inner[0], margin:margin + inner[1], margin:margin + inner[2]], out=buf))
 
 
 def _interior(shape, margin: int) -> tuple:
@@ -285,7 +248,7 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
     """
     wanted = frozenset(range(5) if terms is None else terms)
     for t in wanted:
-        if not isinstance(t, (int, np.integer)) or not 0 <= t <= 4:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t <= 4:
             raise ValueError(f"terms must be integers 0..4 (S1..S5), got {t!r}")
     axes, steps = sample_axes(grid.geometry, spec)
     for d in range(3):
@@ -320,16 +283,14 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
         return _edge_pad(unpadded, into)
 
     def square_sums(c):
-        """Component c's sums of squares, each derivative taken once; with S3,
-        its spent samples become its diagonal first derivative, returned."""
+        """Component c's sums of squares, each derivative taken once; with S3
+        its diagonal first derivative comes last, taken in place of its spent
+        samples, which are returned."""
         samples = sample(c, np.empty(block))
         diag = tuple(int(a == c) for a in range(3)) if linear_elastic else None
-        sums[c] = {delta: _square_sum(samples, delta, steps, margin[sum(delta)], squares)
-                   for delta in uses if delta != diag}
-        if diag:
-            _diagonal_in_place(samples, c, steps[c], margin[1])
-            sums[c][diag] = _interior_square_sum(samples, margin[1], squares)
-            return samples
+        sums[c] = {delta: _square_sum(samples, delta, steps, margin[sum(delta)], squares, delta == diag)
+                   for delta in sorted(uses, key=lambda delta: delta == diag)}
+        return samples
 
     cross = {}
     with single_threaded_blas():
@@ -341,8 +302,8 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
             del d0
             d1 = square_sums(1)
             cross[1, 2] = np.sum(np.multiply(d1, d2, out=d2)[region])
-            d0 = sample(0, d2)  # resampled into the spent product
-            _diagonal_in_place(d0, 0, steps[0], margin[1])
+            d0 = sample(0, d2)  # resampled into the spent product; its sum is already taken
+            _square_sum(d0, (1, 0, 0), steps, margin[1], squares, in_place=True)
             cross[0, 1] = np.sum(np.multiply(d0, d1, out=d0)[region])
         elif uses:  # with no term wanted nothing is sampled
             for c in range(3):

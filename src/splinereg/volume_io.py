@@ -359,9 +359,7 @@ def box_downsample(volume: Volume, factor: int) -> Volume:
     box are dropped. The origin moves to the center of the first box."""
     if volume.components != 1:
         raise ValueError("box_downsample expects a scalar volume")
-    f = int(factor)
-    if f < 1:
-        raise ValueError(f"downsample factor must be >= 1, got {factor}")
+    f = core._count(factor, "factor")
     if f == 1:
         return Volume(volume.data.copy(), volume.spacing, volume.origin)
     dims = tuple((d // f) for d in volume.dims)

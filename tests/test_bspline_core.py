@@ -144,6 +144,16 @@ def test_geometry_validation():
     assert geom.extent == (20.0, 30.0, 40.0)
 
 
+@pytest.mark.parametrize("counts", [(2.7, 3, 3), (3, np.float64(3.5), 3), (2, 2, np.nan), (2, "2", 2)])
+def test_geometry_takes_only_whole_tile_counts(counts):
+    """A count that is not a whole number is rejected by name, not truncated
+    (2.7 built 2 tiles); integral floats and numpy integers become ints."""
+    geom = core.GridGeometry((2.0, np.int64(3), np.float32(4)), (10, 10, 10))
+    assert geom.tile_counts == (2, 3, 4) and all(type(n) is int for n in geom.tile_counts)
+    with pytest.raises(ValueError, match="tile_counts"):
+        core.GridGeometry(counts, (10, 10, 10))
+
+
 def test_locate_basic():
     geom = core.GridGeometry((3, 3, 3), (10.0, 10.0, 10.0))
     loc = core.locate(geom, (15.0, 0.0, 29.9))

@@ -375,6 +375,21 @@ def test_stage_and_optimizer_settings_reject_non_finite_or_negative(make):
         make()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iterations", 2.5), ("max_iterations", "3"), ("image_downsample", 1.5), ("image_downsample", np.nan),
+])
+def test_stage_counts_must_be_whole(field, value):
+    """A stage count that is not a whole number is rejected by name when the
+    stage is built (max_iterations=2.5 passed and then failed inside the
+    optimizer, after the first cost evaluation); integral floats and numpy
+    integers become ints."""
+    stage = reg.RegistrationStage((8.0, 8.0, 8.0), max_iterations=np.int64(3), image_downsample=2.0)
+    assert (stage.max_iterations, stage.image_downsample) == (3, 2)
+    assert type(stage.max_iterations) is int and type(stage.image_downsample) is int
+    with pytest.raises(ValueError, match=field):
+        reg.RegistrationStage((8.0, 8.0, 8.0), **{field: value})
+
+
 def test_optimize_identical_images_stays_near_identity():
     vol = blob_volume(dims=(20, 20, 20), seed=10)
     config = reg.RegistrationConfig(

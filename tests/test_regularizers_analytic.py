@@ -418,6 +418,20 @@ def test_parallel_matches_serial_within_tolerance(threads):
     np.testing.assert_array_equal(parallel.gradient, serial.gradient)
 
 
+@pytest.mark.parametrize("threads", [1.5, 2.5, np.nan, "2"])
+def test_parallel_takes_only_whole_thread_counts(threads):
+    """A thread count that is not a whole number is rejected by name (1.5
+    opened a pool of max_workers=1.5); integral floats and numpy integers
+    give `penalty`'s bits, on a lattice of several groups."""
+    grid = random_grid((10, 10, 10), (10.0, 10.0, 10.0), seed=13)
+    weights = ra.RegularizerWeights(curvature=1.0)
+    serial = ra.penalty(grid, weights)
+    for whole in (2.0, np.int64(2)):
+        np.testing.assert_array_equal(ra.penalty_parallel(grid, weights, thread_count=whole).gradient, serial.gradient)
+    with pytest.raises(ValueError, match="thread_count"):
+        ra.penalty_parallel(grid, weights, thread_count=threads)
+
+
 def test_parallel_is_deterministic_for_fixed_thread_count():
     grid = random_grid((3, 3, 3), (10.0, 10.0, 10.0), seed=14)
     bank = ra.build_vbank(grid.geometry.tile_spacing)

@@ -28,6 +28,28 @@ def test_sampling_spec_validation():
         rn.SamplingSpec.voxel_grid((1, 1, 1), boundary_policy="wrap")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: rn.SamplingSpec.per_tile((4.5, 4, 4)),
+    lambda: rn.SamplingSpec.per_tile((4, 4, np.nan), "clamp"),
+    lambda: rn.quadrature_penalty(random_grid((2, 2, 2), (10.0, 10.0, 10.0), seed=6), NO_WEIGHTS, (2.9, 4, 4)),
+], ids=["per-tile", "per-tile-nan", "quadrature"])
+def test_samples_per_tile_must_be_whole(make):
+    """A per-tile sample count that is not a whole number is rejected by name,
+    not truncated (4.5 sampled 4 per tile, and 2.9 passed quadrature's check
+    of at least 2 as 2); integral floats and numpy integers become ints."""
+    assert rn.SamplingSpec.per_tile((4.0, np.int32(4), 5)).samples_per_tile == (4, 4, 5)
+    with pytest.raises(ValueError, match="samples_per_tile"):
+        make()
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_fd_penalty_rejects_boolean_terms(flag):
+    """terms=[True] computed S2 and terms=[False] S1."""
+    grid = random_grid((3, 3, 3), (12.0, 12.0, 12.0), seed=5)
+    with pytest.raises(ValueError, match="terms"):
+        rn.fd_penalty(grid, NO_WEIGHTS, rn.SamplingSpec.voxel_grid((3.0, 3.0, 3.0)), terms=[flag])
+
+
 def test_sample_axes_stay_inside_extent():
     geom = core.GridGeometry((3, 3, 3), (10.0, 10.0, 10.0), origin=(5.0, 0.0, -5.0))
     axes, steps = rn.sample_axes(geom, rn.SamplingSpec.voxel_grid((2.0, 3.0, 4.0)))
@@ -328,20 +350,28 @@ def test_row_window_stencil_bitwise_equals_whole_volume_stencil(order):
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
-def test_diagonal_in_place_bitwise_equals_whole_volume_stencil(axis):
-    """S3's diagonal first derivative taken in place keeps the bits of the
-    whole-volume stencil on the region the cross products sum, at the
-    skip-boundary (1) and clamp (2) margins, for walks of one-row blocks,
-    of blocks that end in a short one (one row, at margin 1 and three-row
-    blocks) and of one block; what lies off the region stays finite."""
+def test_square_sum_in_place_bitwise_equals_whole_volume_stencil(axis, monkeypatch):
+    """The slab walk run in place leaves S3's diagonal first derivative on the
+    interior with the bits of the whole-volume stencil, and returns the sum of
+    its squares over the contiguous interior, as the walk does when not in
+    place: at the skip-boundary (1) and clamp (2) margins, for walks of
+    one-row blocks, of blocks that end in a short one (one row, at margin 1
+    and three-row blocks) and of one block. What lies off the interior stays
+    finite."""
     samples = np.random.default_rng(10 + axis).normal(size=(12, 7, 9))
+    steps = tuple(0.7 if a == axis else 1.3 for a in range(3))
+    delta = tuple(int(a == axis) for a in range(3))
     whole = rn._derivative(samples, axis, 1, 0.7)
     for margin in (1, 2):
         region = (slice(margin, -margin),) * 3
         inner = [n - 2 * margin for n in samples.shape]
+        want = np.sum(np.square(np.ascontiguousarray(whole[region])))
         for rows in (1, 3, 4, inner[0]):
+            monkeypatch.setattr(rn, "_WALK_POINTS", rows * inner[1] * inner[2])
+            squares = np.empty(samples.size)
+            assert rn._square_sum(samples, delta, steps, margin, squares) == want
             got = samples.copy()
-            rn._diagonal_in_place(got, axis, 0.7, margin, points=rows * inner[1] * inner[2])
+            assert rn._square_sum(got, delta, steps, margin, squares, in_place=True) == want
             assert np.all(np.isfinite(got))
             np.testing.assert_array_equal(got[region], whole[region])
 
@@ -368,12 +398,13 @@ def _peak_volumes(grid, spec, terms=None):
     return peak / (64 ** 3 * 8)
 
 
-@pytest.mark.parametrize("policy, bound", [("skip-boundary", 6.5), ("clamp", 7.5)])
+@pytest.mark.parametrize("policy, bound", [("skip-boundary", 3.75), ("clamp", 4.4)])
 def test_fd_penalty_memory_stays_bounded(policy, bound):
-    """All five terms at 64^3 samples hold one component's samples, one
-    interior-shaped squares buffer, slab-sized stencil temporaries and the
-    three whole-volume diagonal first derivatives of S3 (8.04 and 9.63
-    volumes when every derivative was a whole volume)."""
+    """All five terms at 64^3 samples hold at most three whole sample blocks
+    (68^3 under clamp): one component's samples or two of S3's diagonals,
+    each taken in place of its component's samples, and the squares buffer,
+    beside slab-sized stencil temporaries. They read 3.47 and 4.08 volumes;
+    8.04 and 9.63 when every derivative was a whole volume."""
     grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
     peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), policy))
     assert peak <= bound, f"peak {peak:.2f} volumes"
@@ -403,17 +434,6 @@ def test_fd_penalty_holds_one_component_at_a_time(term):
     grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
     peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[term])
     assert peak <= 2.75, f"peak {peak:.2f} volumes"
-
-
-def test_fd_penalty_linear_elastic_memory_stays_bounded():
-    """S3 alone at 64^3 samples holds one component's samples, one squares
-    buffer and its three whole diagonal first derivatives, each taken once,
-    after the component's slabs (4.94 volumes). Its cross products reuse the
-    last component's spent samples: one more whole-volume product would read
-    5.9, and the last diagonal taken before the slabs' temporaries 5.16."""
-    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
-    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[2])
-    assert peak <= 5.1, f"peak {peak:.2f} volumes"
 
 
 def test_fd_penalty_linear_elastic_holds_three_blocks():

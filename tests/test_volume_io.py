@@ -557,6 +557,17 @@ def test_box_downsample():
     np.testing.assert_allclose(down.data[0, 0, 0], data[:2, :2, :2].mean(), rtol=1e-12)
 
 
+@pytest.mark.parametrize("factor", [2.5, np.float64(1.5), np.nan, "2"])
+def test_box_downsample_takes_only_whole_factors(factor):
+    """A factor that is not a whole number is rejected by name, not truncated
+    (2.5 downsampled by 2); integral floats and numpy integers are taken."""
+    vol = vio.Volume(data=np.random.default_rng(8).normal(size=(6, 6, 7)), spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0))
+    for whole in (2.0, np.int64(2)):
+        np.testing.assert_array_equal(vio.box_downsample(vol, whole).data, vio.box_downsample(vol, 2).data)
+    with pytest.raises(ValueError, match="factor"):
+        vio.box_downsample(vol, factor)
+
+
 def test_covering_geometry_covers_all_centers():
     vol = vio.Volume(data=np.zeros((20, 10, 5)), spacing=(2.0, 3.0, 4.0), origin=(1.0, 1.0, 1.0))
     geom = vio.covering_geometry(vol, (7.0, 7.0, 7.0))

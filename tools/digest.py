@@ -152,7 +152,8 @@ per_tile = [(g, sr.SamplingSpec.per_tile(s, b)) for g, s in ((smooth[1], (4, 5, 
             for b in ("skip-boundary", "clamp")]  # the second spans several slabs and ends in a short one
 show("fd_penalty_per_tile", *[sr.fd_penalty(g, weights[0], s, terms=t).terms
                               for g, s in per_tile for t in (None, *([n] for n in range(5)))])
-crossed = []  # S3's in-place diagonal walks end in a one-row block (first block skip-boundary, second clamp), else short
+crossed = []  # S3's diagonals, each the slab walk run in place, end in a one-row block
+# (first block skip-boundary, second clamp) or else in a short one
 for n in ((67, 34, 34), (65, 32, 32)):
     g = sr.make_smooth_grid(core.GridGeometry((4, 2, 2), (16.0,) * 3), 2.0, 30.0, seed=11)
     crossed += [(g, sr.SamplingSpec.voxel_grid([e / k for e, k in zip(g.geometry.extent, n)], b))
