@@ -17,13 +17,17 @@ rather than shared. `fd_penalty` takes every derivative in one slab walk
 the slab's rows, reading their neighbours straight from the samples
 (`_row_derivative`), and the axis-1 and axis-2 stencils run at a flat offset
 (`_derivative`); both share one formula (`_stencil`), and no entry of the
-garbage margin is summed. S3 takes each component's diagonal first
-derivative d nu_c / d x_c last, through the same walk run in place: it
-overwrites the component's spent samples, so S3 holds at most three whole
-sample blocks, the squares buffer and two diagonals. Its cross products run
-(0, 2), then (1, 2), then (0, 1), each into a spent buffer, and component 0
-is sampled and walked twice, since its diagonal is dropped while component 1
-is differenced.
+garbage margin is summed. Every component is sampled in turn into one
+block, and the walk run in place overwrites spent samples with a derivative
+of them, taken last: with S3, component 2's diagonal first derivative
+d nu_c / d x_c, which S3's cross products read; with S4 (components 0 and 1
+only, when S3 is wanted too), the axis-0 second difference, whose first
+differences are S4's (3, 0, 0), (2, 1, 0) and (2, 0, 1). The cross products
+re-sample the other diagonals, transformed by the walk without squares, into
+whichever block is spent: (0, 2), then (1, 2), then (0, 1), component 0
+twice. So S3 holds at most two whole sample blocks, the samples and the
+squares buffer (three under clamp, which stages its unpadded samples in the
+squares buffer).
 Each call pins BLAS to one thread while it samples and sums, as `penalty`
 does, so the three routes are timed at one BLAS setting whoever calls them.
 """
@@ -69,8 +73,8 @@ class SamplingSpec:
             if self.voxel_spacing is None:
                 raise ValueError("voxel-grid mode requires voxel_spacing")
             object.__setattr__(self, "voxel_spacing", core._triple(self.voxel_spacing, "voxel_spacing"))
-            if any(s <= 0 for s in self.voxel_spacing):
-                raise ValueError(f"voxel_spacing must be positive, got {self.voxel_spacing}")
+            if not all(0 < s < math.inf for s in self.voxel_spacing):  # false for nan too
+                raise ValueError(f"voxel_spacing must be positive and finite, got {self.voxel_spacing}")
         else:
             if self.samples_per_tile is None:
                 raise ValueError("per-tile-samples mode requires samples_per_tile")
@@ -167,7 +171,8 @@ def _row_derivative(samples: np.ndarray, lo: int, rows: int, order: int, h: floa
     return _stencil(samples[lo + 1:lo + rows + 1], samples[lo:lo + rows], samples[lo - 1:lo + rows - 1], order, h, out)
 
 
-def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndarray, in_place: bool = False) -> float:
+def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndarray | None,
+                in_place: bool = False) -> float | None:
     """Sum of squares of derivative `delta` of `samples` over the samples at
     least `margin` from every face (`margin` covers each axis's stencil).
 
@@ -179,9 +184,11 @@ def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndar
     the interior of the whole-volume `_derivative`. With `in_place` each
     slab's derivative also overwrites its rows of the interior of `samples`,
     one slab late: the next slab's axis-0 stencil reads this slab's last row.
+    With `squares` None the walk (then in place) only transforms, and
+    returns None.
     """
     inner = _interior(samples.shape, margin)
-    buf = squares[:math.prod(inner)].reshape(inner)
+    buf = None if squares is None else squares[:math.prod(inner)].reshape(inner)
     cols = (slice(margin, margin + inner[1]), slice(margin, margin + inner[2]))
     pending = None  # (rows, derivative) of the slab before, written once the next is taken
     for part in core._slabs(inner, _WALK_POINTS):
@@ -189,14 +196,15 @@ def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndar
         d = _row_derivative(samples, part.start + margin, rows, delta[0], steps[0])
         d = _derivative(d, 1, delta[1], steps[1])
         d = _derivative(d, 2, delta[2], steps[2])[(slice(None),) + cols]
-        np.square(d, out=buf[part])
+        if buf is not None:
+            np.square(d, out=buf[part])
         if in_place:
             if pending:
                 samples[(pending[0],) + cols] = pending[1]
             pending = slice(part.start + margin, part.start + margin + rows), d
     if pending:
         samples[(pending[0],) + cols] = pending[1]
-    return np.sum(buf)
+    return None if buf is None else np.sum(buf)
 
 
 def _edge_pad(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -217,6 +225,11 @@ def _interior(shape, margin: int) -> tuple:
             f"sample block {tuple(shape)} too small for stencil margin {margin}; refine the sampling"
         )
     return inner
+
+
+def _diagonal(c: int) -> tuple:
+    """Multi-index of component c's diagonal first derivative d nu_c / d x_c."""
+    return tuple(int(a == c) for a in range(3))
 
 
 def _uses(wanted) -> dict:
@@ -266,10 +279,10 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
     margin = [2 if clamp else (order + 1) // 2 for order in range(4)]
     # one scratch buffer for every derivative's squares, sized for the widest
     # interior any wanted regularizer sums (checked here, before sampling); it
-    # also holds clamp's unpadded samples and one of S3's cross products
+    # also holds clamp's unpadded samples, and S3's diagonals off clamp
     size = max((math.prod(_interior(block, margin[_ORDERS[n]])) for n in wanted), default=0)
     linear_elastic = 2 in wanted
-    squares = np.empty(math.prod(block) if linear_elastic else size)
+    squares = np.empty(math.prod(block) if linear_elastic and not clamp else size)
     ws = [core.axis_weight_matrix(grid.geometry, d, axes[d], 0) for d in range(3)]
     uses = _uses(wanted)
     sums = [None] * 3  # per component: {multi-index: sum of squares}
@@ -282,32 +295,54 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
         unpadded = core._contract(grid.coefficients[c], *ws, out=squares[:math.prod(raw)].reshape(raw))
         return _edge_pad(unpadded, into)
 
-    def square_sums(c):
-        """Component c's sums of squares, each derivative taken once; with S3
-        its diagonal first derivative comes last, taken in place of its spent
-        samples, which are returned."""
-        samples = sample(c, np.empty(block))
-        diag = tuple(int(a == c) for a in range(3)) if linear_elastic else None
-        sums[c] = {delta: _square_sum(samples, delta, steps, margin[sum(delta)], squares, delta == diag)
-                   for delta in sorted(uses, key=lambda delta: delta == diag)}
+    def diagonal(c, into):
+        """Component c's diagonal first derivative d nu_c / d x_c on the
+        interior of its samples in `into`: the walk run in place, no squares."""
+        samples = sample(c, into)
+        _square_sum(samples, _diagonal(c), steps, margin[1], None, in_place=True)
         return samples
+
+    def square_sums(c, samples):
+        """Component c's sums of squares, each derivative taken once. One comes
+        last, taken in place of the spent samples: with S3 component 2's
+        diagonal, which the cross products read; else with S4 the axis-0
+        second difference at margin 1, whose first difference along any axis
+        is one of S4's (2 + q, j, k), taken from it after. Its own sum is kept
+        only when a wanted term sums it at that margin (S2 off clamp)."""
+        last, at, rest = None, None, {}  # taken in place at margin `at`; derivative -> the same of `last`
+        if linear_elastic and c == 2:
+            last, at = _diagonal(c), margin[1]
+        elif 3 in wanted:
+            last, at = (2, 0, 0), 1
+            rest = {(2 + q, j, k): (q, j, k) for q, j, k in ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+        kept = last in uses and margin[sum(last)] == at
+        sums[c] = {delta: _square_sum(samples, delta, steps, margin[sum(delta)], squares)
+                   for delta in sorted(uses) if delta not in rest and not (kept and delta == last)}
+        if last:
+            total = _square_sum(samples, last, steps, at, squares if kept else None, in_place=True)
+            if kept:
+                sums[c][last] = total
+        for delta, of in rest.items():
+            sums[c][delta] = _square_sum(samples, of, steps, margin[3], squares)
 
     cross = {}
     with single_threaded_blas():
-        if linear_elastic:  # at most three whole blocks: the squares buffer and two diagonals
-            region = (slice(margin[1], -margin[1]),) * 3
-            d2 = square_sums(2)
-            d0 = square_sums(0)
-            cross[0, 2] = np.sum(np.multiply(d0, d2, out=squares.reshape(block))[region])
-            del d0
-            d1 = square_sums(1)
-            cross[1, 2] = np.sum(np.multiply(d1, d2, out=d2)[region])
-            d0 = sample(0, d2)  # resampled into the spent product; its sum is already taken
-            _square_sum(d0, (1, 0, 0), steps, margin[1], squares, in_place=True)
-            cross[0, 1] = np.sum(np.multiply(d0, d1, out=d0)[region])
-        elif uses:  # with no term wanted nothing is sampled
+        if uses:  # one block holds every component's samples in turn; with no term wanted none
+            held = np.empty(block)
             for c in range(3):
-                square_sums(c)
+                square_sums(c, sample(c, held))
+        if linear_elastic:
+            # two whole blocks: `held` ends with component 2's diagonal, and
+            # each other diagonal is re-sampled into whichever block is spent;
+            # clamp stages its samples in `squares`, so it takes a third
+            region = (slice(margin[1], -margin[1]),) * 3
+            spare = np.empty(block) if clamp else squares.reshape(block)
+            d0 = diagonal(0, spare)
+            cross[0, 2] = np.sum(np.multiply(d0, held, out=d0)[region])
+            d1 = diagonal(1, spare)
+            cross[1, 2] = np.sum(np.multiply(d1, held, out=held)[region])
+            d0 = diagonal(0, held)
+            cross[0, 1] = np.sum(np.multiply(d0, d1, out=d0)[region])
     # components 0, 1, 2 in sorted(uses) order, then the cross products (0, 1),
     # (0, 2), (1, 2): the order the terms have always accumulated in fixes
     # their last bits

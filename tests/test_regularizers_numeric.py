@@ -28,6 +28,14 @@ def test_sampling_spec_validation():
         rn.SamplingSpec.voxel_grid((1, 1, 1), boundary_policy="wrap")
 
 
+@pytest.mark.parametrize("spacing", [(np.nan, 1, 1), (1, np.inf, 1), (1, 1, -np.inf)])
+def test_voxel_spacing_must_be_finite(spacing):
+    """A NaN voxel spacing was accepted (its `<= 0` check is false for NaN) and
+    failed later in `sample_axes` with a message that named no field."""
+    with pytest.raises(ValueError, match="voxel_spacing"):
+        rn.SamplingSpec.voxel_grid(spacing)
+
+
 @pytest.mark.parametrize("make", [
     lambda: rn.SamplingSpec.per_tile((4.5, 4, 4)),
     lambda: rn.SamplingSpec.per_tile((4, 4, np.nan), "clamp"),
@@ -376,6 +384,46 @@ def test_square_sum_in_place_bitwise_equals_whole_volume_stencil(axis, monkeypat
             np.testing.assert_array_equal(got[region], whole[region])
 
 
+@pytest.mark.parametrize("delta", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)])
+def test_square_sum_transform_only_bitwise_equals_whole_volume_stencil(delta, monkeypatch):
+    """The walk run in place with no squares buffer, as S3 re-samples each
+    diagonal and S4 takes its axis-0 second difference, leaves the derivative
+    on the interior with the bits of the whole-volume stencil and returns
+    None: at margins 1 and 2, for walks of one-row blocks, of blocks that end
+    in a short one and of one block. What lies off the interior stays finite."""
+    samples = np.random.default_rng(20).normal(size=(12, 7, 9))
+    axis, order = next((a, d) for a, d in enumerate(delta) if d)
+    steps = tuple(0.7 if a == axis else 1.3 for a in range(3))
+    whole = rn._derivative(samples, axis, order, 0.7)
+    for margin in (1, 2):
+        region = (slice(margin, -margin),) * 3
+        inner = [n - 2 * margin for n in samples.shape]
+        for rows in (1, 3, 4, inner[0]):
+            monkeypatch.setattr(rn, "_WALK_POINTS", rows * inner[1] * inner[2])
+            got = samples.copy()
+            assert rn._square_sum(got, delta, steps, margin, None, in_place=True) is None
+            assert np.all(np.isfinite(got))
+            np.testing.assert_array_equal(got[region], whole[region])
+
+
+@pytest.mark.parametrize("policy", ["skip-boundary", "clamp"])
+def test_fd_penalty_second_rows_bitwise_equal_interleaved_formulation(policy):
+    """S4 reads (3, 0, 0), (2, 1, 0) and (2, 0, 1) off the axis-0 second
+    difference taken in place; with S2 beside it and no S3 that difference's
+    own sum is S2's (kept at skip-boundary's margin 1, taken apart under
+    clamp). No bit moves against the whole-volume formulation, on blocks in
+    one slab and over several."""
+    blocks = [
+        (random_grid((3, 2, 4), (12.0, 10.0, 9.0), seed=9, origin=(-3.0, 4.0, 0.5)), (2.0, 2.5, 1.5)),
+        (random_grid((8, 5, 6), (16.0, 16.0, 16.0), seed=10, origin=(1.0, -2.0, 3.0)), (2.0, 2.0, 2.5)),
+    ]
+    for grid, voxels in blocks:
+        spec = rn.SamplingSpec.voxel_grid(voxels, policy)
+        for terms in ([1, 3], [0, 1, 3, 4], [2, 3]):
+            got = rn.fd_penalty(grid, NO_WEIGHTS, spec, terms=terms).terms
+            np.testing.assert_array_equal(got, _interleaved_fd_terms(grid, spec, terms))
+
+
 def test_edge_pad_equals_numpy_edge_pad():
     """clamp's padding written into a spent buffer equals np.pad's, also on
     one-sample axes."""
@@ -401,10 +449,11 @@ def _peak_volumes(grid, spec, terms=None):
 @pytest.mark.parametrize("policy, bound", [("skip-boundary", 3.75), ("clamp", 4.4)])
 def test_fd_penalty_memory_stays_bounded(policy, bound):
     """All five terms at 64^3 samples hold at most three whole sample blocks
-    (68^3 under clamp): one component's samples or two of S3's diagonals,
-    each taken in place of its component's samples, and the squares buffer,
-    beside slab-sized stencil temporaries. They read 3.47 and 4.08 volumes;
-    8.04 and 9.63 when every derivative was a whole volume."""
+    (68^3 under clamp) beside slab-sized stencil temporaries: one block of
+    samples, each diagonal taken in place of its component's samples, and
+    the squares buffer, which clamp's cross products cannot borrow. They read
+    2.48 and 3.70 volumes (3.48 and 4.08 while two diagonals sat beside the
+    squares buffer); 8.04 and 9.63 when every derivative was a whole volume."""
     grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
     peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), policy))
     assert peak <= bound, f"peak {peak:.2f} volumes"
@@ -429,7 +478,7 @@ def test_fd_penalty_curvature_memory_stays_bounded():
 @pytest.mark.parametrize("term", [0, 1, 3, 4])
 def test_fd_penalty_holds_one_component_at_a_time(term):
     """One term alone at 64^3 samples holds one component's samples, its
-    squares buffer and slab temporaries: 2.30-2.44 volumes, against
+    squares buffer and slab temporaries: 2.04-2.17 volumes, against
     3.21-3.38 when two components' samples are alive at once."""
     grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
     peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[term])
@@ -437,19 +486,32 @@ def test_fd_penalty_holds_one_component_at_a_time(term):
 
 
 def test_fd_penalty_linear_elastic_holds_three_blocks():
-    """S3 alone at 64^3 samples holds at most three whole sample blocks (the
-    squares buffer and two diagonal first derivatives, each taken in place of
-    its component's samples) and slab temporaries: 3.26 volumes, where
-    holding all three diagonals beside the samples read 4.94."""
+    """S3 alone at 64^3 samples holds at most three whole sample blocks (each
+    diagonal first derivative taken in place of its component's samples, and
+    the squares buffer) and slab temporaries: 2.29 volumes with two blocks,
+    3.29 with three, where holding all three diagonals beside the samples
+    read 4.94."""
     grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
     peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[2])
     assert peak <= 3.5, f"peak {peak:.2f} volumes"
 
 
+@pytest.mark.parametrize("terms", [[2], None], ids=["S3", "all"])
+def test_fd_penalty_linear_elastic_holds_two_blocks(terms):
+    """S3 alone and all five terms at 64^3 samples hold at most two whole
+    sample blocks, the samples and the squares buffer, beside slab
+    temporaries: each diagonal the cross products read is re-sampled into
+    whichever block is spent. 2.29 and 2.48 volumes, where holding two
+    diagonals beside the squares buffer read 3.29 and 3.48."""
+    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
+    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=terms)
+    assert peak <= 2.5, f"peak {peak:.2f} volumes"
+
+
 def test_fd_penalty_clamp_all_terms_memory_does_not_rise():
     """All five terms under clamp at 64^3 samples (68^3-sample padded blocks)
     stay at or below the 5.84 volumes they read while S3 held three whole
-    diagonals and each padding copied fresh samples (4.08 now)."""
+    diagonals and each padding copied fresh samples (3.70 now)."""
     grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
     peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), "clamp"))
     assert peak <= 5.84, f"peak {peak:.2f} volumes"

@@ -148,6 +148,8 @@ show("fd_penalty_slabs_single_term", *[sr.fd_penalty(g, weights[0], s, terms=[n]
                                        for g, s in slabbed for n in range(5)])
 show("fd_penalty_slabs_mixed_terms", *[sr.fd_penalty(g, weights[0], s, terms=t).terms  # S3 with others
                                       for g, s in slabbed for t in ([0, 2], [1, 2, 3], [2, 4])])
+show("fd_penalty_second_rows", *[sr.fd_penalty(g, weights[0], s, terms=t).terms  # S4 with S2, no S3
+                                 for g, s in slabbed for t in ([3], [1, 3], [1, 3, 4])])
 per_tile = [(g, sr.SamplingSpec.per_tile(s, b)) for g, s in ((smooth[1], (4, 5, 6)), (slabbed[0][0], (4, 12, 12)))
             for b in ("skip-boundary", "clamp")]  # the second spans several slabs and ends in a short one
 show("fd_penalty_per_tile", *[sr.fd_penalty(g, weights[0], s, terms=t).terms
