@@ -580,12 +580,12 @@ def main(argv=None) -> int:
             parser.error(f"--{a} and --{b} must be given together".replace("_", "-"))
     try:
         return args.func(args)
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        _note(f"numerical failure: {exc}")
+        return EXIT_NUMERIC
     except (vio.FormatError, OSError, ValueError, IndexError) as exc:
         _note(f"error: {exc}")
         return EXIT_DATA
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        _note(f"numerical failure: {exc}")
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ differences are S4's (3, 0, 0), (2, 1, 0) and (2, 0, 1). The cross products
 re-sample the other diagonals, transformed by the walk without squares, into
 whichever block is spent: (0, 2), then (1, 2), then (0, 1), component 0
 twice. So S3 holds at most two whole sample blocks, the samples and the
-squares buffer (three under clamp, which stages its unpadded samples in the
-squares buffer).
+squares buffer, under either policy: clamp pads each component in place
+(`_edge_pad`) in the block whose C-order head it was contracted into.
 Each call pins BLAS to one thread while it samples and sums, as `penalty`
 does, so the three routes are timed at one BLAS setting whoever calls them.
 """
@@ -207,14 +207,18 @@ def _square_sum(samples: np.ndarray, delta, steps, margin: int, squares: np.ndar
     return None if buf is None else np.sum(buf)
 
 
-def _edge_pad(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.pad(raw, 2, mode="edge"), written into `out`."""
-    out[2:-2, 2:-2, 2:-2] = raw
+def _edge_pad(block: np.ndarray, raw) -> np.ndarray:
+    """np.pad(samples, 2, mode="edge") in place, for samples of shape `raw` in
+    the C-order head of `block`. Rows move back to front, each to a place past
+    the end of its own source row, so none overwrites a row not yet moved."""
+    head = block.reshape(-1)[:math.prod(raw)].reshape(raw)
+    for i in reversed(range(raw[0])):
+        block[i + 2, 2:-2, 2:-2] = head[i]
     for axis in range(3):  # each pass copies faces the passes before completed
-        face = np.moveaxis(out, axis, 0)
+        face = np.moveaxis(block, axis, 0)
         face[:2] = face[2]
         face[-2:] = face[-3]
-    return out
+    return block
 
 
 def _interior(shape, margin: int) -> tuple:
@@ -277,23 +281,20 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
     # per derivative order: clamp's edge padding of 2 absorbs every stencil;
     # skip-boundary drops the widest per-axis stencil half-width of that order
     margin = [2 if clamp else (order + 1) // 2 for order in range(4)]
-    # one scratch buffer for every derivative's squares, sized for the widest
-    # interior any wanted regularizer sums (checked here, before sampling); it
-    # also holds clamp's unpadded samples, and S3's diagonals off clamp
+    # one buffer for every derivative's squares, sized for the widest interior
+    # any wanted term sums (checked before sampling); with S3 a whole block
     size = max((math.prod(_interior(block, margin[_ORDERS[n]])) for n in wanted), default=0)
     linear_elastic = 2 in wanted
-    squares = np.empty(math.prod(block) if linear_elastic and not clamp else size)
+    squares = np.empty(math.prod(block) if linear_elastic else size)
     ws = [core.axis_weight_matrix(grid.geometry, d, axes[d], 0) for d in range(3)]
     uses = _uses(wanted)
     sums = [None] * 3  # per component: {multi-index: sum of squares}
 
     def sample(c, into):
-        """Component c's samples on the block, written into `into`; under clamp
-        contracted into the spent squares buffer first, then edge-padded."""
-        if not clamp:
-            return core._contract(grid.coefficients[c], *ws, out=into)
-        unpadded = core._contract(grid.coefficients[c], *ws, out=squares[:math.prod(raw)].reshape(raw))
-        return _edge_pad(unpadded, into)
+        """Component c's samples on the block `into`: contracted into its
+        C-order head (the whole block off clamp), then under clamp padded."""
+        core._contract(grid.coefficients[c], *ws, out=into.reshape(-1)[:math.prod(raw)].reshape(raw))
+        return _edge_pad(into, raw) if clamp else into
 
     def diagonal(c, into):
         """Component c's diagonal first derivative d nu_c / d x_c on the
@@ -333,10 +334,9 @@ def fd_penalty(grid, weights, spec: SamplingSpec, terms=None) -> PenaltyResult:
                 square_sums(c, sample(c, held))
         if linear_elastic:
             # two whole blocks: `held` ends with component 2's diagonal, and
-            # each other diagonal is re-sampled into whichever block is spent;
-            # clamp stages its samples in `squares`, so it takes a third
+            # each other diagonal is re-sampled into whichever block is spent
             region = (slice(margin[1], -margin[1]),) * 3
-            spare = np.empty(block) if clamp else squares.reshape(block)
+            spare = squares.reshape(block)
             d0 = diagonal(0, spare)
             cross[0, 2] = np.sum(np.multiply(d0, held, out=d0)[region])
             d1 = diagonal(1, spare)

@@ -67,6 +67,19 @@ def test_penalty_malformed_file(tmp_path, capsys):
     assert "error" in err
 
 
+def test_linalg_error_is_a_numerical_failure(grid_file, capsys, monkeypatch):
+    """np.linalg.LinAlgError subclasses ValueError, yet exits 4, not 3."""
+    from splinereg import regularizers_analytic
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(regularizers_analytic, "penalty_parallel", singular)
+    code, _, err = run_cli(capsys, "penalty", "--grid", grid_file, "--json")
+    assert code == 4
+    assert "numerical failure: Singular matrix" in err
+
+
 def test_penalty_dumps_gradient_and_builds_no_bank(grid_file, tmp_path, capsys, monkeypatch):
     from splinereg import regularizers_analytic
 

@@ -425,14 +425,16 @@ def test_fd_penalty_second_rows_bitwise_equal_interleaved_formulation(policy):
 
 
 def test_edge_pad_equals_numpy_edge_pad():
-    """clamp's padding written into a spent buffer equals np.pad's, also on
-    one-sample axes."""
+    """clamp's padding, done in place on samples written at the C-order head
+    of a block of garbage, has np.pad's bits, also on axes of one sample and
+    on the smallest block fd_penalty samples (4 a side)."""
     rng = np.random.default_rng(12)
-    for shape in ((5, 6, 7), (1, 3, 1)):
+    for shape in ((5, 6, 7), (1, 3, 1), (2, 4, 3), (4, 4, 4)):
         raw = rng.normal(size=shape)
-        spent = rng.normal(size=tuple(n + 4 for n in shape))
-        assert rn._edge_pad(raw, spent) is spent
-        np.testing.assert_array_equal(spent, np.pad(raw, 2, mode="edge"))
+        block = rng.normal(size=tuple(n + 4 for n in shape))
+        block.reshape(-1)[:raw.size] = raw.ravel()
+        assert rn._edge_pad(block, shape) is block
+        np.testing.assert_array_equal(block.view(np.uint64), np.pad(raw, 2, mode="edge").view(np.uint64))
 
 
 def _peak_volumes(grid, spec, terms=None):
@@ -446,14 +448,14 @@ def _peak_volumes(grid, spec, terms=None):
     return peak / (64 ** 3 * 8)
 
 
-@pytest.mark.parametrize("policy, bound", [("skip-boundary", 3.75), ("clamp", 4.4)])
+@pytest.mark.parametrize("policy, bound", [("skip-boundary", 3.75), ("clamp", 3.0)])
 def test_fd_penalty_memory_stays_bounded(policy, bound):
-    """All five terms at 64^3 samples hold at most three whole sample blocks
+    """All five terms at 64^3 samples hold at most two whole sample blocks
     (68^3 under clamp) beside slab-sized stencil temporaries: one block of
-    samples, each diagonal taken in place of its component's samples, and
-    the squares buffer, which clamp's cross products cannot borrow. They read
-    2.48 and 3.70 volumes (3.48 and 4.08 while two diagonals sat beside the
-    squares buffer); 8.04 and 9.63 when every derivative was a whole volume."""
+    samples and the squares buffer, into which clamp now pads too. They read
+    2.48 and 2.88 volumes (3.70 under clamp while it staged its samples in
+    the squares buffer); 8.04 and 9.63 when every derivative was a whole
+    volume."""
     grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
     peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), policy))
     assert peak <= bound, f"peak {peak:.2f} volumes"
@@ -485,36 +487,22 @@ def test_fd_penalty_holds_one_component_at_a_time(term):
     assert peak <= 2.75, f"peak {peak:.2f} volumes"
 
 
-def test_fd_penalty_linear_elastic_holds_three_blocks():
-    """S3 alone at 64^3 samples holds at most three whole sample blocks (each
-    diagonal first derivative taken in place of its component's samples, and
-    the squares buffer) and slab temporaries: 2.29 volumes with two blocks,
-    3.29 with three, where holding all three diagonals beside the samples
-    read 4.94."""
-    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
-    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[2])
-    assert peak <= 3.5, f"peak {peak:.2f} volumes"
-
-
-@pytest.mark.parametrize("terms", [[2], None], ids=["S3", "all"])
-def test_fd_penalty_linear_elastic_holds_two_blocks(terms):
+@pytest.mark.parametrize("terms, policy, bound", [
+    pytest.param([2], "skip-boundary", 2.5, id="S3"), pytest.param(None, "skip-boundary", 2.5, id="all"),
+    pytest.param([2], "clamp", 3.0, id="S3-clamp"), pytest.param(None, "clamp", 3.0, id="all-clamp")])
+def test_fd_penalty_linear_elastic_holds_two_blocks(terms, policy, bound):
     """S3 alone and all five terms at 64^3 samples hold at most two whole
-    sample blocks, the samples and the squares buffer, beside slab
-    temporaries: each diagonal the cross products read is re-sampled into
-    whichever block is spent. 2.29 and 2.48 volumes, where holding two
-    diagonals beside the squares buffer read 3.29 and 3.48."""
+    sample blocks (68^3 under clamp), the samples and the squares buffer,
+    beside slab temporaries: each diagonal the cross products read is
+    re-sampled into whichever block is spent, and clamp pads each component
+    in place in its own block. 2.29 and 2.48 volumes skip-boundary (3.29 and
+    3.48 while two diagonals sat beside the squares buffer, 4.94 for S3 with
+    three diagonals beside the samples); 2.73 and 2.88 under clamp (3.69 and
+    3.70 while it staged its samples in the squares buffer and took a third
+    block, 5.84 for all terms while S3 held three diagonals)."""
     grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
-    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=terms)
-    assert peak <= 2.5, f"peak {peak:.2f} volumes"
-
-
-def test_fd_penalty_clamp_all_terms_memory_does_not_rise():
-    """All five terms under clamp at 64^3 samples (68^3-sample padded blocks)
-    stay at or below the 5.84 volumes they read while S3 held three whole
-    diagonals and each padding copied fresh samples (3.70 now)."""
-    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
-    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), "clamp"))
-    assert peak <= 5.84, f"peak {peak:.2f} volumes"
+    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), policy), terms=terms)
+    assert peak <= bound, f"peak {peak:.2f} volumes"
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,9 @@ for n in ((67, 34, 34), (65, 32, 32)):
                 for b in ("skip-boundary", "clamp")]
 show("fd_penalty_cross", *[sr.fd_penalty(g, weights[0], s, terms=t).terms
                            for g, s in crossed for t in ([2], [0, 2], [2, 3], [0, 2, 3])])
+thin = sr.make_smooth_grid(core.GridGeometry((1, 2, 3), (8.0, 10.0, 12.0), (-2.0, 1.0, 0.5)), 2.0, 15.0, 12)
+show("fd_penalty_clamp_thin", *[sr.fd_penalty(thin, weights[0], sr.SamplingSpec.per_tile((4, 4, 4), "clamp"),
+                                              terms=t).terms for t in (None, [2])])  # the smallest padded block
 fields = [sr.dense_field(g, s) for g in smooth
           for s in (sr.SamplingSpec.voxel_grid((2.0, 2.5, 1.5)), sr.SamplingSpec.per_tile((5, 4, 6)))]
 show("dense_field", *[x for v in fields for x in (v.data, v.spacing, v.origin)])
