@@ -487,6 +487,16 @@ def test_fd_penalty_holds_one_component_at_a_time(term):
     assert peak <= 2.75, f"peak {peak:.2f} volumes"
 
 
+def test_fd_penalty_linear_elastic_holds_three_blocks():
+    """S3 alone at 64^3 samples holds at most three whole sample blocks and
+    slab temporaries: 2.29 volumes with two blocks, 3.29 with three, where
+    holding all three diagonals beside the samples read 4.94. The two-block
+    test asks the same call for at most 2.5."""
+    grid = make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
+    peak = _peak_volumes(grid, rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0)), terms=[2])
+    assert peak <= 3.5, f"peak {peak:.2f} volumes"
+
+
 @pytest.mark.parametrize("terms, policy, bound", [
     pytest.param([2], "skip-boundary", 2.5, id="S3"), pytest.param(None, "skip-boundary", 2.5, id="all"),
     pytest.param([2], "clamp", 3.0, id="S3-clamp"), pytest.param(None, "clamp", 3.0, id="all-clamp")])
