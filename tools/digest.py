@@ -139,7 +139,8 @@ show("fd_penalty", *[sr.fd_penalty(g, weights[0], sr.SamplingSpec.voxel_grid(v, 
 show("fd_penalty_single_term", *[sr.fd_penalty(g, weights[0], sr.SamplingSpec.voxel_grid((1.0, 2.0, 2.0), b),
                                                 terms=[n]).terms
                                  for g in smooth for b in ("skip-boundary", "clamp") for n in range(5)])
-slabbed = []  # blocks whose interiors span several slabs of fd_penalty and end in a short one
+slabbed = []  # blocks of three or four fd_penalty slabs; skip-boundary ends in a short one (the second
+# block in a one-row slab), clamp in a short one (first block) or in four whole slabs (second)
 for t, o, v in (((9, 4, 5), (-5.0, 3.0, 1.0), (2.0, 2.0, 2.0)), ((8, 5, 6), (0, 0, 0), (2.0, 2.0, 2.5))):
     g = sr.make_smooth_grid(core.GridGeometry(t, (16.0,) * 3, o), 2.0, 30.0, seed=8)
     slabbed += [(g, sr.SamplingSpec.voxel_grid(v, b)) for b in ("skip-boundary", "clamp")]
@@ -151,11 +152,11 @@ show("fd_penalty_slabs_mixed_terms", *[sr.fd_penalty(g, weights[0], s, terms=t).
 show("fd_penalty_second_rows", *[sr.fd_penalty(g, weights[0], s, terms=t).terms  # S4 with S2, no S3
                                  for g, s in slabbed for t in ([3], [1, 3], [1, 3, 4])])
 per_tile = [(g, sr.SamplingSpec.per_tile(s, b)) for g, s in ((smooth[1], (4, 5, 6)), (slabbed[0][0], (4, 12, 12)))
-            for b in ("skip-boundary", "clamp")]  # the second spans several slabs and ends in a short one
+            for b in ("skip-boundary", "clamp")]  # the second spans four or five slabs and ends in a short one
 show("fd_penalty_per_tile", *[sr.fd_penalty(g, weights[0], s, terms=t).terms
                               for g, s in per_tile for t in (None, *([n] for n in range(5)))])
-crossed = []  # S3's diagonals, each the slab walk run in place, end in a one-row block
-# (first block skip-boundary, second clamp) or else in a short one
+crossed = []  # S3's diagonals, kept per slab for its cross products, end in a one-row slab
+# (second block, skip-boundary) or else in a short one of 5 to 19 rows
 for n in ((67, 34, 34), (65, 32, 32)):
     g = sr.make_smooth_grid(core.GridGeometry((4, 2, 2), (16.0,) * 3), 2.0, 30.0, seed=11)
     crossed += [(g, sr.SamplingSpec.voxel_grid([e / k for e, k in zip(g.geometry.extent, n)], b))
