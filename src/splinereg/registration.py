@@ -8,8 +8,9 @@ interpolant. The hull fade w(p) falls from 1 to 0 across the moving image's
 outermost voxel cell, so a sample leaving the image changes C continuously
 and the line search need not backtrack around it. Stages run coarse to fine;
 each stage fits its grid to the previous stage's field by separable least
-squares before optimizing; stage sizes that would leave that fit singular
-are rejected before the first stage runs. M and its gradient come from one
+squares at its voxel centres before optimizing. Every stage is planned
+before the first runs, so a stage whose fit would be singular (Schoenberg-
+Whitney) is rejected before any evaluation. M and its gradient come from one
 kernel that evaluates each sample's cell polynomial by its rules: the
 coefficients are the cell's corner values forward-differenced along each
 axis, the value is Horner's rule along axis 3, then 2, then 1, and the
@@ -164,26 +165,34 @@ def _collocation_rank(w: np.ndarray, coords) -> int:
     return rank
 
 
-def fit_grid_to_field(
-    geometry: core.GridGeometry, axes, field_samples: np.ndarray
-) -> core.ControlPointGrid:
-    """Least-squares coefficients reproducing a displacement field sampled on a
-    separable grid. The design matrix is a Kronecker product, so the normal
-    equations split per axis; fields exactly representable on the lattice are
-    recovered exactly. An axis whose weight matrix has fewer rows than columns,
-    or is rank-deficient, raises ValueError: its normal equations are singular."""
-    ws = [core.axis_weight_matrix(geometry, d, axes[d], 0) for d in range(3)]
+def _fit_solvers(geometry: core.GridGeometry, axes) -> list:
+    """Per-axis least-squares solvers (W^T W)^-1 W^T, each (P, S), of samples on the separable
+    grid `axes`. An axis whose W is rank-deficient raises ValueError: its normal equations are singular."""
     solvers = []
-    for axis, w in enumerate(ws, 1):
-        rank = _collocation_rank(w, axes[axis - 1])  # at most the sample count
+    for axis, coords in enumerate(axes, 1):
+        w = core.axis_weight_matrix(geometry, axis - 1, coords, 0)
+        rank = _collocation_rank(w, coords)  # at most the sample count
         if rank < w.shape[1]:
             raise ValueError(f"axis {axis}: {w.shape[0]} samples determine only {rank} of {w.shape[1]} control points")
-        gram = w.T @ w
-        solvers.append(np.linalg.solve(gram, w.T))  # (P, S)
+        solvers.append(np.linalg.solve(w.T @ w, w.T))
+    return solvers
+
+
+def _fit(geometry: core.GridGeometry, solvers, field_samples: np.ndarray) -> core.ControlPointGrid:
+    """The (S1, S2, S3, 3) `field_samples` fitted to `geometry` by the per-axis `solvers`."""
     coeffs = np.empty((3,) + geometry.lattice_shape)
     for c in range(3):
         coeffs[c] = core._contract(field_samples[..., c], *solvers)
     return core.ControlPointGrid(geometry, coeffs)
+
+
+def fit_grid_to_field(geometry: core.GridGeometry, axes, field_samples: np.ndarray) -> core.ControlPointGrid:
+    """Least-squares coefficients reproducing a displacement field sampled on a
+    separable grid. The design matrix is a Kronecker product, so the normal
+    equations split per axis (`_fit_solvers`, which raises ValueError for an
+    undetermined axis); fields exactly representable on the lattice are
+    recovered exactly."""
+    return _fit(geometry, _fit_solvers(geometry, axes), field_samples)
 
 
 def _lbfgs(fun, x0: np.ndarray, max_iterations: int, settings: OptimizerSettings) -> tuple:
@@ -258,55 +267,39 @@ def _lbfgs(fun, x0: np.ndarray, max_iterations: int, settings: OptimizerSettings
     return x, costs, reason
 
 
-def _check_stage_sizes(fixed: Volume, stages) -> None:
-    """Raise ValueError, naming the stage, the axis and both counts, when a
-    stage's image_downsample leaves an axis without a voxel, or when a later
-    stage's image has fewer voxels on an axis than its lattice has control
-    points: the fit that starts that stage from the previous field would be
-    singular. Voxels are counted as box_downsample would leave them."""
-    for number, stage in enumerate(stages, 1):
-        lattice = covering_geometry(fixed, stage.grid_spacing).lattice_shape
-        for axis, (n, points) in enumerate(zip(fixed.dims, lattice), 1):
-            voxels = n // stage.image_downsample
-            if voxels < 1:
-                raise ValueError(f"stage {number}: image_downsample {stage.image_downsample} leaves no voxel "
-                                 f"of the {n} on axis {axis}")
-            if number > 1 and voxels < points:
-                raise ValueError(f"stage {number}: its image has {voxels} voxels on axis {axis}, fewer than "
-                                 f"the {points} control points of its lattice")
-
-
 def optimize(fixed: Volume, moving: Volume, config: RegistrationConfig) -> tuple:
     """Multi-stage registration of `moving` onto `fixed`.
 
     Returns the final ControlPointGrid (on the last stage's geometry) and a
     list of StageHistory records. Costs within a stage are monotone
-    non-increasing; a non-finite cost aborts with a diagnostic. Stage sizes
-    that leave a stage undetermined (`_check_stage_sizes`) raise ValueError
-    before the first stage runs.
+    non-increasing; a non-finite cost aborts with a diagnostic. Every stage is
+    planned before the first runs: its images, its lattice and, after the
+    first, the solvers fitting that lattice to the previous field at its voxel
+    centres. A downsample that leaves an axis without a voxel, or a singular
+    fit (`_fit_solvers`), raises ValueError naming the stage.
     """
     if not fixed.same_geometry(moving):
         raise ValueError("fixed and moving volumes must share dims, spacing and origin")
-    _check_stage_sizes(fixed, config.stages)
+
+    plans = []  # each stage's (fixed, moving) images, geometry, voxel axes and fit solvers
+    for number, stage in enumerate(config.stages, 1):
+        f = stage.image_downsample  # at 1, the caller's own images, read only
+        try:
+            images = (fixed, moving) if f == 1 else (box_downsample(fixed, f), box_downsample(moving, f))
+            # every stage's lattice covers the full-resolution domain so that
+            # coarse fields can always be resampled onto finer stages
+            geometry = covering_geometry(fixed, stage.grid_spacing)
+            axes = [images[0].axis_coords(d) for d in range(3)]
+            plans.append((images, geometry, axes, _fit_solvers(geometry, axes) if plans else None))
+        except ValueError as error:
+            raise ValueError(f"stage {number}: {error}") from error
 
     grid = None
     histories = []
     for stage in config.stages:
-        if stage.image_downsample == 1:
-            vol_f, vol_m = fixed, moving  # read only: no copy needed
-        else:
-            vol_f = box_downsample(fixed, stage.image_downsample)
-            vol_m = box_downsample(moving, stage.image_downsample)
-        # every stage's lattice covers the full-resolution domain so that
-        # coarse fields can always be resampled onto finer stages
-        geometry = covering_geometry(fixed, stage.grid_spacing)
-
-        if grid is None:
-            stage_grid = core.ControlPointGrid.zeros(geometry)
-        else:
-            axes = [vol_f.axis_coords(d) for d in range(3)]
-            samples = core.sample_displacement(grid, axes)
-            stage_grid = fit_grid_to_field(geometry, axes, samples)
+        (vol_f, vol_m), geometry, axes, solvers = plans.pop(0)
+        stage_grid = (core.ControlPointGrid.zeros(geometry) if grid is None
+                      else _fit(geometry, solvers, core.sample_displacement(grid, axes)))
 
         shape = (3,) + geometry.lattice_shape
         calls = [0]  # cost-and-gradient evaluations in this stage
@@ -318,17 +311,9 @@ def optimize(fixed: Volume, moving: Volume, config: RegistrationConfig) -> tuple
             pen = penalty(g, config.weights)
             return mse_val + pen.value, (mse_grad + pen.gradient).ravel()
 
-        x, costs, reason = _lbfgs(
-            cost, stage_grid.coefficients.ravel(), stage.max_iterations, config.optimizer
-        )
+        x, costs, reason = _lbfgs(cost, stage_grid.coefficients.ravel(), stage.max_iterations, config.optimizer)
+        del vol_f, vol_m, cost  # the stage's images go when it ends
         grid = core.ControlPointGrid(geometry, x.reshape(shape))
-        histories.append(
-            StageHistory(
-                grid_spacing=stage.grid_spacing,
-                iterations=len(costs) - 1,
-                costs=[float(c) for c in costs],
-                stop_reason=reason,
-                evaluations=calls[0],
-            )
-        )
+        histories.append(StageHistory(grid_spacing=stage.grid_spacing, iterations=len(costs) - 1,
+                                      costs=[float(c) for c in costs], stop_reason=reason, evaluations=calls[0]))
     return grid, histories

@@ -11,6 +11,7 @@ in memory).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -318,22 +319,19 @@ def _warped_planes(grid: core.ControlPointGrid, axes, ws, part=slice(None)) -> n
     return planes
 
 
-_weights_memo = (None, None)  # (geometry, voxel grid) of the last `_voxel_weights` call, and its weights
-
-
 def _voxel_weights(geometry: core.GridGeometry, like: Volume) -> tuple:
     """The 0th-order weight matrices of `like`'s voxel centers on `geometry`,
     one per axis. They depend on nothing else, so the last geometry and voxel
     grid asked for keep theirs, read-only: every evaluation of a registration
     stage asks for the same ones."""
-    global _weights_memo
-    key, ws = _weights_memo
-    wanted = (geometry, like.dims, like.spacing, like.origin)
-    if key != wanted:
-        ws = tuple(core.axis_weight_matrix(geometry, d, like.axis_coords(d), 0) for d in range(3))
-        for w in ws:
-            w.flags.writeable = False
-        _weights_memo = (wanted, ws)
+    return _grid_weights(geometry, like.dims, like.spacing, like.origin)
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_weights(geometry: core.GridGeometry, dims: tuple, spacing: tuple, origin: tuple) -> tuple:
+    ws = tuple(core.axis_weight_matrix(geometry, d, origin[d] + np.arange(dims[d]) * spacing[d], 0) for d in range(3))
+    for w in ws:
+        w.flags.writeable = False
     return ws
 
 
@@ -363,8 +361,9 @@ def box_downsample(volume: Volume, factor: int) -> Volume:
     if f == 1:
         return Volume(volume.data.copy(), volume.spacing, volume.origin)
     dims = tuple((d // f) for d in volume.dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"volume {volume.dims} too small for factor {f}")
+    for axis, n in enumerate(volume.dims, 1):
+        if n < f:
+            raise ValueError(f"factor {f} leaves no voxel of the {n} on axis {axis}")
     cropped = volume.data[: dims[0] * f, : dims[1] * f, : dims[2] * f]
     data = cropped.reshape(dims[0], f, dims[1], f, dims[2], f).mean(axis=(1, 3, 5))
     spacing = tuple(s * f for s in volume.spacing)

@@ -380,7 +380,8 @@ def test_register_non_finite_origin_is_a_data_error(tmp_path, capsys):
 
 def test_register_undetermined_stage_is_a_data_error(tmp_path, capsys, monkeypatch):
     """A later stage whose image has fewer voxels on an axis than its lattice
-    has control points is rejected as a data error before any stage runs."""
+    has control points leaves its fit singular, and is rejected as a data
+    error before any stage runs."""
     from splinereg import registration as reg
 
     monkeypatch.setattr(reg, "mse_cost_grad", lambda *args: pytest.fail("a stage ran"))
@@ -392,7 +393,24 @@ def test_register_undetermined_stage_is_a_data_error(tmp_path, capsys, monkeypat
         "--stage", "16:2:1", "--stage", "8:2:1", "--out-prefix", str(tmp_path / "out"),
     )
     assert code == 3, err
-    assert "stage 2: its image has 1 voxels on axis 2" in err
+    assert "stage 2: axis 2: 1 samples determine only 1 of 4 control points" in err
+
+
+def test_register_rank_deficient_stage_is_a_data_error(tmp_path, capsys, monkeypatch):
+    """A later stage with as many voxels as control points on each axis, but
+    no voxel centre in its last tile, is rejected by number as a data error
+    before any stage runs."""
+    from splinereg import registration as reg
+
+    monkeypatch.setattr(reg, "mse_cost_grad", lambda *args: pytest.fail("a stage ran"))
+    for name, seed in (("f.vol", 5), ("m.vol", 6)):
+        vio.write_volume(vio.make_phantom("blobs", (17, 17, 17), (2.0, 2.0, 2.0), seed=seed), tmp_path / name)
+    code, _, err = run_cli(
+        capsys, "register", "--fixed", str(tmp_path / "f.vol"), "--moving", str(tmp_path / "m.vol"),
+        "--stage", "20:30:1", "--stage", "10:30:2", "--out-prefix", str(tmp_path / "out"),
+    )
+    assert code == 3, err
+    assert "stage 2: axis 1: 8 samples determine only 6 of 7 control points" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -198,7 +198,7 @@ def test_optimize_builds_axis_weights_once_per_stage(monkeypatch):
     fixed = blob_volume(dims=(20, 20, 20), seed=12)
     built, evaluations = [], []
     for cap in (1, 5):
-        monkeypatch.setattr(vio, "_weights_memo", (None, None))
+        vio._grid_weights.cache_clear()
         calls.clear()
         config = reg.RegistrationConfig(
             stages=(reg.RegistrationStage((20.0,) * 3, cap, 2), reg.RegistrationStage((10.0,) * 3, cap)),
@@ -231,6 +231,31 @@ def test_mse_cost_grad_memory_stays_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= bound * volume, f"peak {peak / volume:.1f} volumes at {n}^3"
+
+
+def test_optimize_releases_each_stage_images():
+    """Two stages at 64^3 voxels, one evaluation cap each: 16 mm tiles on the
+    pair downsampled by 2, then 8 mm tiles at full resolution. The peak is
+    the transition, the coarse field sampled at every voxel centre (3
+    volumes) and fitted: 3.75 volumes. The downsampled pair is a quarter
+    volume; kept past its stage (by the stage plans or the first stage's cost
+    closure), the peak reads 4.00. Samples kept through the second stage
+    read 6.28."""
+    n = 64
+    moving, fixed = blob_volume(dims=(n, n, n), seed=21), blob_volume(dims=(n, n, n), seed=22)
+    config = reg.RegistrationConfig(
+        stages=(reg.RegistrationStage((16.0,) * 3, 1, 2), reg.RegistrationStage((8.0,) * 3, 1)),
+        weights=RegularizerWeights(curvature=1e-2))
+    volume = n ** 3 * 8
+    reg.optimize(fixed, moving, config)
+    vio._grid_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        reg.optimize(fixed, moving, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.875 * volume, f"peak {peak / volume:.2f} volumes"
 
 
 def test_mse_geometry_mismatch_rejected():
@@ -309,9 +334,9 @@ def test_collocation_rank_agrees_with_matrix_rank():
 
 
 @pytest.mark.parametrize("dims, stages, message", [
-    ((32, 32, 32), ((16.0, 4), (8.0, 4)), "stage 2: its image has 8 voxels on axis 1, fewer than the 11 control points"),
-    ((40, 1, 40), ((16.0, 1), (8.0, 1)), "stage 2: its image has 1 voxels on axis 2, fewer than the 4 control points"),
-    ((20, 20, 6), ((16.0, 8),), "stage 1: image_downsample 8 leaves no voxel of the 6 on axis 3"),
+    ((32, 32, 32), ((16.0, 4), (8.0, 4)), "stage 2: axis 1: 8 samples determine only 8 of 11 control points"),
+    ((40, 1, 40), ((16.0, 1), (8.0, 1)), "stage 2: axis 2: 1 samples determine only 1 of 4 control points"),
+    ((20, 20, 6), ((16.0, 8),), "stage 1: factor 8 leaves no voxel of the 6 on axis 3"),
 ], ids=["downsampled-below-lattice", "thin-axis", "no-voxel"])
 def test_optimize_rejects_undetermined_stages_before_any_evaluation(monkeypatch, dims, stages, message):
     evaluated = []
@@ -321,6 +346,21 @@ def test_optimize_rejects_undetermined_stages_before_any_evaluation(monkeypatch,
         stages=tuple(reg.RegistrationStage((s,) * 3, max_iterations=2, image_downsample=f) for s, f in stages))
     with pytest.raises(ValueError, match=message):
         reg.optimize(vol, vol, config)
+    assert evaluated == []
+
+
+def test_optimize_rejects_a_rank_deficient_stage_before_any_evaluation(monkeypatch):
+    """Enough voxels, but a singular fit: at 17^3 voxels of 2 mm, a second
+    stage of 10 mm tiles on an image downsampled by 2 has 8 voxel centres (1 to
+    29 mm) for 7 control points, yet no centre in its last tile (30 to 40 mm).
+    The stage is rejected by number before the first stage evaluates."""
+    evaluated = []
+    monkeypatch.setattr(reg, "mse_cost_grad", lambda *args: evaluated.append(args) or (0.0, None))
+    fixed, moving = blob_volume(dims=(17,) * 3, seed=14), blob_volume(dims=(17,) * 3, seed=15)
+    config = reg.RegistrationConfig(stages=(
+        reg.RegistrationStage((20.0,) * 3, max_iterations=30), reg.RegistrationStage((10.0,) * 3, 30, 2)))
+    with pytest.raises(ValueError, match="^stage 2: axis 1: 8 samples determine only 6 of 7 control points$"):
+        reg.optimize(fixed, moving, config)
     assert evaluated == []
 
 

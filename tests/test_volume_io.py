@@ -557,6 +557,16 @@ def test_box_downsample():
     np.testing.assert_allclose(down.data[0, 0, 0], data[:2, :2, :2].mean(), rtol=1e-12)
 
 
+def test_box_downsample_names_the_empty_axis():
+    """A factor larger than an axis names that axis and its voxel count."""
+    vol = vio.Volume(data=np.zeros((20, 20, 6)), spacing=(1.0, 1.0, 1.0))
+    assert vio.box_downsample(vol, 6).dims == (3, 3, 1)
+    with pytest.raises(ValueError, match="^factor 8 leaves no voxel of the 6 on axis 3$"):
+        vio.box_downsample(vol, 8)
+    with pytest.raises(ValueError, match="^factor 21 leaves no voxel of the 20 on axis 1$"):
+        vio.box_downsample(vol, 21)
+
+
 @pytest.mark.parametrize("factor", [2.5, np.float64(1.5), np.nan, "2"])
 def test_box_downsample_takes_only_whole_factors(factor):
     """A factor that is not a whole number is rejected by name, not truncated
