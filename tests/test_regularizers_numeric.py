@@ -373,27 +373,45 @@ def _peak_volumes(grid, spec, terms=None, side=64):
     return peak / (side ** 3 * 8)
 
 
-@pytest.mark.parametrize("terms, per_tile, bound", [
-    pytest.param([0], False, 1.0, id="S1"), pytest.param([1], False, 1.0, id="S2"),
-    pytest.param([3], False, 1.0, id="S4"), pytest.param([3], True, 1.0, id="S4-per-tile"),
-    pytest.param([4], False, 1.0, id="S5"), pytest.param([2], False, 1.5, id="S3"),
-    pytest.param(None, False, 1.75, id="all")])
-@pytest.mark.parametrize("policy", ["skip-boundary", "clamp"])
-def test_fd_penalty_memory_at_64_cubed(policy, terms, per_tile, bound):
-    """At 64^3 samples (8^3 tiles at 2 mm voxels, or 4^3 tiles of 16 samples)
-    fd_penalty holds one component's slab samples and derivatives at a time
-    (slabs of 8 rows and their halo), and no whole sample block. One term
-    alone reads 0.26-0.78 volumes, 0.31-0.88 under clamp. S3 keeps each
-    slab's three diagonals for the cross products: 0.91, 1.01 under clamp. All
-    five terms read 1.22 and 1.37. One whole block of samples is a volume
-    more (1.2 under clamp's padding), which each bound leaves no room for."""
-    tiles = (4, 4, 4) if per_tile else (8, 8, 8)
-    grid = make_smooth_grid(core.GridGeometry(tiles, (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
-    if per_tile:
-        spec = rn.SamplingSpec.per_tile((16, 16, 16), policy)
-    else:
-        spec = rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), policy)
-    peak = _peak_volumes(grid, spec, terms=terms)
+def _grid_64():
+    """8^3 tiles of 16 mm: 64^3 samples at 2 mm voxels."""
+    return make_smooth_grid(core.GridGeometry((8, 8, 8), (16.0, 16.0, 16.0)), 3.0, 32.0, seed=7)
+
+
+@pytest.mark.parametrize("term, policy", [
+    pytest.param(term, policy, id=str(term) if policy == "skip-boundary" else f"{term}-clamp")
+    for policy in ("skip-boundary", "clamp") for term in (0, 1, 3, 4)])
+def test_fd_penalty_holds_one_component_at_a_time(term, policy):
+    """One term alone at 64^3 samples holds one component's slab samples and
+    derivatives at a time (slabs of 8 rows and their halo), and no whole
+    sample block: 0.26-0.78 volumes, 0.31-0.88 under clamp. One whole block
+    of samples is a volume more (1.2 under clamp's padding), which the bound
+    of 1.0 leaves no room for."""
+    peak = _peak_volumes(_grid_64(), rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), policy), terms=[term])
+    assert peak <= 1.0, f"peak {peak:.2f} volumes"
+
+
+def test_fd_penalty_third_order_memory_stays_bounded():
+    """The third-order sum over 4^3 tiles of 16 samples each (64^3 samples)
+    holds one slab's samples and derivatives: 0.78 volumes, 0.87 under
+    clamp, and no room for a whole block under the bound of 1.0."""
+    geom = core.GridGeometry((4, 4, 4), (16.0, 16.0, 16.0))
+    grid = make_smooth_grid(geom, amplitude=3.0, smoothness=32.0, seed=7)
+    for policy in ("skip-boundary", "clamp"):
+        peak = _peak_volumes(grid, rn.SamplingSpec.per_tile((16, 16, 16), policy), terms=[3])
+        assert peak <= 1.0, f"{policy}: peak {peak:.2f} volumes"
+
+
+@pytest.mark.parametrize("terms, policy, bound", [
+    pytest.param([2], "skip-boundary", 1.5, id="S3"), pytest.param(None, "skip-boundary", 1.75, id="all"),
+    pytest.param([2], "clamp", 1.5, id="S3-clamp"), pytest.param(None, "clamp", 1.75, id="all-clamp")])
+def test_fd_penalty_linear_elastic_holds_two_blocks(terms, policy, bound):
+    """S3 alone and all five terms at 64^3 samples keep each slab's three
+    diagonals for the cross products beside its samples and derivatives, and
+    no whole sample block: 0.91 and 1.22 volumes skip-boundary, 1.01 and 1.37
+    under clamp. S3's bound is 1.5, not 1.75, because holding one whole block
+    of samples reads 1.755 there."""
+    peak = _peak_volumes(_grid_64(), rn.SamplingSpec.voxel_grid((2.0, 2.0, 2.0), policy), terms=terms)
     assert peak <= bound, f"peak {peak:.2f} volumes"
 
 
